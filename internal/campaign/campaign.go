@@ -426,14 +426,72 @@ func Run(cfg Config) (*Results, error) {
 		defer resume.close()
 	}
 
+	// Jobs run in (app, name) order and their results merge in that order
+	// once every worker is done: cell sums are floating point, so merging in
+	// completion order would leak scheduling into the totals, and the
+	// dataset lists come out sorted without a second pass.
+	sort.SliceStable(jobs, func(i, k int) bool {
+		if jobs[i].app != jobs[k].app {
+			return jobs[i].app < jobs[k].app
+		}
+		return jobs[i].name < jobs[k].name
+	})
 	var (
-		mu    sync.Mutex
 		wg    sync.WaitGroup
-		errMu sync.Mutex
+		mu    sync.Mutex // guards first
 		first error
 	)
-	// absorb merges one dataset's results into the campaign totals.
-	absorb := func(app sdrbench.App, dr *datasetResult, resumed bool) {
+	fail := func(err error) {
+		mu.Lock()
+		if first == nil {
+			first = err
+		}
+		mu.Unlock()
+	}
+	progress := func(j job, dr *datasetResult, resumed bool) {
+		if cfg.Progress != nil {
+			suffix := "done"
+			if resumed {
+				suffix = "resumed from journal"
+			}
+			cfg.Progress(fmt.Sprintf("%s/%s %s (%d trials)", j.app, dr.info.Name, suffix, cfg.Trials))
+		}
+	}
+	done := make([]*datasetResult, len(jobs)) // indexed like jobs
+	sem := make(chan struct{}, cfg.Workers)
+	for ji, j := range jobs {
+		if resume != nil {
+			if dr, ok := resume.lookup(j.app, j.name, cfg); ok {
+				done[ji] = dr
+				progress(j, dr, true)
+				continue
+			}
+		}
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(ji int, j job) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			dr, err := runDatasetSafe(cfg, j.app, j.name, j.load)
+			if err != nil {
+				fail(err)
+				return
+			}
+			if resume != nil {
+				if err := resume.record(j.app, j.name, dr); err != nil {
+					fail(err)
+					return
+				}
+			}
+			done[ji] = dr
+			progress(j, dr, false)
+		}(ji, j)
+	}
+	wg.Wait()
+	if first != nil {
+		return nil, first
+	}
+	for ji, dr := range done {
 		dc := DatasetCells{
 			Info:   dr.info,
 			Hits:   make([][]int, len(cfg.Methods)),
@@ -443,8 +501,7 @@ func Run(cfg Config) (*Results, error) {
 			dc.Hits[mi] = append([]int(nil), c.Hits...)
 			dc.Trials[mi] = c.Trials
 		}
-		mu.Lock()
-		ai := res.appIndex(app)
+		ai := res.appIndex(jobs[ji].app)
 		for mi := range cfg.Methods {
 			res.PerMethodApp[mi][ai].merge(dr.cells[mi])
 		}
@@ -454,68 +511,7 @@ func Run(cfg Config) (*Results, error) {
 		res.Datasets = append(res.Datasets, dr.info)
 		res.PerDataset = append(res.PerDataset, dc)
 		res.TotalTrials += cfg.Trials
-		mu.Unlock()
-		if cfg.Progress != nil {
-			suffix := "done"
-			if resumed {
-				suffix = "resumed from journal"
-			}
-			cfg.Progress(fmt.Sprintf("%s/%s %s (%d trials)", app, dr.info.Name, suffix, cfg.Trials))
-		}
 	}
-	sem := make(chan struct{}, cfg.Workers)
-	for _, j := range jobs {
-		if resume != nil {
-			if dr, ok := resume.lookup(j.app, j.name, cfg); ok {
-				absorb(j.app, dr, true)
-				continue
-			}
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(j job) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			dr, err := runDatasetSafe(cfg, j.app, j.name, j.load)
-			if err != nil {
-				errMu.Lock()
-				if first == nil {
-					first = err
-				}
-				errMu.Unlock()
-				return
-			}
-			if resume != nil {
-				if err := resume.record(j.app, j.name, dr); err != nil {
-					errMu.Lock()
-					if first == nil {
-						first = err
-					}
-					errMu.Unlock()
-					return
-				}
-			}
-			absorb(j.app, dr, false)
-		}(j)
-	}
-	wg.Wait()
-	if first != nil {
-		return nil, first
-	}
-	// Stable dataset ordering regardless of scheduling.
-	sort.Slice(res.Datasets, func(i, k int) bool {
-		if res.Datasets[i].App != res.Datasets[k].App {
-			return res.Datasets[i].App < res.Datasets[k].App
-		}
-		return res.Datasets[i].Name < res.Datasets[k].Name
-	})
-	sort.Slice(res.PerDataset, func(i, k int) bool {
-		a, b := res.PerDataset[i].Info, res.PerDataset[k].Info
-		if a.App != b.App {
-			return a.App < b.App
-		}
-		return a.Name < b.Name
-	})
 	return res, nil
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"spatialdue/internal/ndarray"
@@ -12,19 +14,19 @@ import (
 	"spatialdue/internal/trace"
 )
 
-// Batch recovery is the engine's fast path for storms of co-located DUEs on
-// one array (a flaky DIMM, a row-hammered bank): instead of each event
-// paying lock acquisition, environment setup, and shared-statistic access
-// separately, a batch
+// Every element recovery outside RecoverBurst — one element from
+// RecoverElement/RecoverAddress, a coalesced service batch, a
+// checkpoint-library repair — runs through one runner, recoverBatch; an
+// element recovery is a batch of one. A batch
 //
 //   - quarantines every member in one coalesced pass (one quarantine-set
 //     lock, one shared-statistics exclusion sweep, both in submission
-//     order),
+//     order; a lone member is quarantined by its own climb),
 //   - groups members into stripe clusters — members whose three-stripe lock
 //     ranges overlap — and runs the clusters concurrently (their read/write
 //     sets are provably disjoint; see stripes.go),
 //   - shares one predict.Env (and its allocation-free scratch buffers) per
-//     cluster, reseeding it per member, and
+//     cluster, reseeding it between members, and
 //   - reuses auto-tune decisions across members in the same tune-cache
 //     block, since clustered members tune sequentially against the same
 //     cache.
@@ -33,7 +35,7 @@ import (
 // batch starts — which is how the service uses it: every ingested event is
 // MarkCorrupt'ed at intake — RecoverBatch produces bit-identical array
 // contents, outcomes, and method choices to recovering the same offsets
-// sequentially with RecoverElement in submission order. Within a cluster,
+// one at a time with RecoverElement in submission order. Within a cluster,
 // members run sequentially in submission order with pre-assigned
 // deterministic seeds; across clusters, no recovery can observe another's
 // writes, mask changes, or tune-cache entries, and the shared statistics
@@ -55,15 +57,32 @@ type BatchResult struct {
 	Offset int
 	// Outcome is the completed recovery (zero when Err != nil).
 	Outcome Outcome
-	// Err is the member's failure, if any: the same errors (and error
-	// wrapping) RecoverElementCtx would return for that offset.
+	// Err is the member's failure, if any: ErrCheckpointRestartRequired
+	// (out of range, ladder exhausted) or ErrRecoveryAbandoned (context
+	// expired), wrapped with the element's name and offset.
 	Err error
+}
+
+// target is what a recovery repairs: the array, the names its bookkeeping
+// reports, and the policy it reconstructs with. Registered allocations and
+// checkpoint-library datasets both reduce to one.
+type target struct {
+	alloc  *registry.Allocation // reported in Outcome; nil for FTI datasets
+	arr    *ndarray.Array
+	name   string
+	tenant string
+	policy registry.Policy
+}
+
+func allocTarget(a *registry.Allocation) target {
+	return target{alloc: a, arr: a.Array, name: a.Name, tenant: a.Tenant, policy: a.Policy}
 }
 
 // batchSizeBuckets are the spatialdue_batch_size histogram bounds.
 var batchSizeBuckets = [...]int{1, 2, 4, 8, 16, 32}
 
-// observeBatch records one RecoverBatch call for the metrics endpoint.
+// observeBatch records one multi-member RecoverBatch call for the metrics
+// endpoint.
 func (e *Engine) observeBatch(n int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -76,8 +95,9 @@ func (e *Engine) observeBatch(n int) {
 	}
 }
 
-// BatchStats reports lifetime batch accounting: calls, total members, and
-// the cumulative size histogram (indexed like batchSizeBuckets).
+// BatchStats reports lifetime batch accounting over calls with more than
+// one member: calls, total members, and the cumulative size histogram
+// (indexed like batchSizeBuckets).
 func (e *Engine) BatchStats() (calls, members int64, buckets [len(batchSizeBuckets)]int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -86,239 +106,254 @@ func (e *Engine) BatchStats() (calls, members int64, buckets [len(batchSizeBucke
 
 // RecoverBatch recovers every element in offsets (all inside alloc's array)
 // and returns one result per member, in input order. Members in
-// non-conflicting stripe clusters recover concurrently. The context governs
-// the whole batch with RecoverElementCtx semantics: when it expires,
-// unfinished members report ErrRecoveryAbandoned immediately while their
-// cluster climbs keep running in the background, abort at the next
-// cooperative checkpoint, and leave those elements quarantined (a climb
-// that completes after abandonment is still counted and audited).
-func (e *Engine) RecoverBatch(ctx context.Context, alloc *registry.Allocation, offsets []int) []BatchResult {
-	return e.RecoverBatchTraced(ctx, alloc, offsets, nil)
+// non-conflicting stripe clusters recover concurrently.
+//
+// traces, indexed like offsets, carries caller-owned traces. A nil slice
+// (or nil member) makes the engine mint and finish its own trace for that
+// member; caller-supplied traces are annotated but left unfinished, so the
+// caller can append its own post-recovery spans (journal finish) before
+// handing them to the collector. Members of one stripe cluster share the
+// cluster's single lock acquisition, stamped into every member's trace as a
+// stripe_wait span of identical duration.
+//
+// The context governs the whole batch. When it expires, unfinished members
+// report ErrRecoveryAbandoned immediately — even if a predictor or
+// checkpoint restore is wedged — so a bounded worker pool can give up
+// without leaking its worker. The abandoned cluster climbs keep running in
+// the background holding their stripe locks: each aborts at its next
+// cooperative checkpoint (every ladder-stage entry and every attempt),
+// restores the pre-recovery value, leaves the element quarantined, and only
+// then releases the locks, so no concurrent recovery ever observes a
+// half-finished repair. A climb that completes after abandonment is still
+// counted and audited.
+func (e *Engine) RecoverBatch(ctx context.Context, alloc *registry.Allocation, offsets []int, traces []*trace.Trace) []BatchResult {
+	results := make([]BatchResult, len(offsets))
+	e.recoverBatch(ctx, allocTarget(alloc), offsets, traces, results)
+	return results
 }
 
-// RecoverBatchTraced is RecoverBatch with caller-supplied traces, indexed
-// like offsets. A nil slice (or nil member) makes the engine mint and finish
-// its own trace for that member; caller-supplied traces are annotated but
-// left unfinished, so the caller can append its own post-recovery spans
-// (journal finish) before handing them to the collector. Members of one
-// stripe cluster share the cluster's single lock acquisition, stamped into
-// every member's trace as a stripe_wait span of identical duration.
-func (e *Engine) RecoverBatchTraced(ctx context.Context, alloc *registry.Allocation, offsets []int, traces []*trace.Trace) []BatchResult {
-	results := make([]BatchResult, len(offsets))
+// member is one batch member's private state.
+type member struct {
+	off   int
+	seed  int64
+	tr    *trace.Trace
+	owned bool // engine-minted trace: finished and recycled here
+	done  bool // result already in results (calling goroutine only)
+}
+
+// cluster is a run of members whose lock ranges chain together.
+type cluster struct {
+	members []int // member indices, submission order
+	lo, hi  int   // stripe lock range
+}
+
+// memberResult carries one member's result from a cluster goroutine to the
+// collector.
+type memberResult struct {
+	i   int
+	out Outcome
+	err error
+}
+
+// batch is the state the clusters of one recoverBatch call share.
+type batch struct {
+	e     *Engine
+	ctx   context.Context
+	t     target
+	ms    []member
+	ss    *stripeSet
+	resCh chan memberResult // cluster goroutines report here
+}
+
+// deliver hands one member's result over: written straight into results
+// by an inline run, sent to the collector by a cluster goroutine (which
+// passes nil results). Keeping results out of the shared struct keeps it
+// off the heap, so a batch of one costs no more than the element recovery
+// it is.
+func (b *batch) deliver(results []BatchResult, i int, out Outcome, err error) {
+	if results == nil {
+		b.resCh <- memberResult{i, out, err}
+		return
+	}
+	results[i].Outcome, results[i].Err = out, err
+}
+
+// run recovers one cluster under a single lock acquisition: every member's
+// trace carries the same stripe_wait span, because that is literally the
+// wait they shared.
+func (b *batch) run(c cluster, results []BatchResult) {
+	e, t, ms := b.e, b.t, b.ms
+	t0 := time.Now()
+	lerr := b.ss.acquireRange(b.ctx, c.lo, c.hi)
+	clk := time.Now() // chains into the first member's ladder spans
+	wait := clk.Sub(t0)
+	for _, i := range c.members {
+		ms[i].tr.ObserveDur(trace.StageStripeWait, t0, wait)
+	}
+	if lerr != nil {
+		for _, i := range c.members {
+			err := fmt.Errorf("%w: %s[%d]: waiting for recovery lock: %v", ErrRecoveryAbandoned, t.name, ms[i].off, lerr)
+			out, ferr := e.finishRecovery(t, &ms[i], ladderResult{}, err)
+			b.deliver(results, i, out, ferr)
+		}
+		return
+	}
+	defer b.ss.release(c.lo, c.hi)
+	// One Env for the whole cluster: the mask is live, the shared statistics
+	// are frozen, and the scratch buffers amortize across members. It is
+	// built with the first member's seed and reseeded only between members,
+	// restoring each one's private random stream.
+	members := c.members
+	seeded := ms[members[0]].seed
+	env := e.envFor(t.arr, seeded)
+	for k := range members {
+		if e.opts.FrontierBatch {
+			frontierPick(env, t.arr, ms, members[k:])
+		}
+		i := members[k]
+		if ms[i].seed != seeded {
+			seeded = ms[i].seed
+			env.Reseed(seeded)
+		}
+		if k > 0 {
+			clk = time.Now()
+		}
+		res, err := e.reconstruct(b.ctx, t, ms[i].off, env, ms[i].tr, clk)
+		out, ferr := e.finishRecovery(t, &ms[i], res, err)
+		b.deliver(results, i, out, ferr)
+	}
+}
+
+// recoverBatch is the recovery runner behind every entry point. It fills
+// results, indexed like offsets.
+func (e *Engine) recoverBatch(ctx context.Context, t target, offsets []int, traces []*trace.Trace, results []BatchResult) {
+	n := len(offsets)
+	if n == 0 {
+		return
+	}
+	if n > 1 {
+		e.observeBatch(n)
+	}
+	ms := make([]member, n)
+	live := make([]int, 0, n) // in-range members, submission order
+	born := time.Now()        // one birth instant shared by every owned member
 	for i, off := range offsets {
+		m := &ms[i]
+		m.off = off
 		results[i].Offset = off
-	}
-	if len(offsets) == 0 {
-		return results
-	}
-	e.observeBatch(len(offsets))
-	arr := alloc.Array
-
-	trs := make([]*trace.Trace, len(offsets))
-	owned := make([]bool, len(offsets))
-	born := time.Now() // one birth instant shared by every owned member
-	for i := range offsets {
 		if i < len(traces) {
-			trs[i] = traces[i]
+			m.tr = traces[i]
 		}
-		if trs[i] == nil {
-			trs[i] = trace.GetPooledAt(born)
-			owned[i] = true
+		if m.tr == nil {
+			m.tr, m.owned = trace.GetPooledAt(born), true
 		}
-	}
-
-	// Pre-assign deterministic seeds in submission order, exactly as a
-	// sequential loop over RecoverElement would have drawn them.
-	seeds := make([]int64, len(offsets))
-	for i := range offsets {
-		seeds[i] = e.nextSeed()
-	}
-
-	// Resolve out-of-range members immediately (same error and bookkeeping
-	// as the sequential path), and coalesce the quarantine insert for the
-	// rest.
-	valid := make([]int, 0, len(offsets))
-	done := make([]bool, len(offsets))
-	for i, off := range offsets {
-		if off < 0 || off >= arr.Len() {
+		// Seeds are drawn in submission order, exactly as a loop of
+		// single-element recoveries would have drawn them.
+		m.seed = e.nextSeed()
+		if off < 0 || off >= t.arr.Len() {
 			err := fmt.Errorf("%w: offset %d out of range", ErrCheckpointRestartRequired, off)
-			_, results[i].Err = e.finishRecovery(alloc, off, ladderResult{}, err, trs[i])
-			if owned[i] {
-				e.tracer.Finish(trs[i])
-				trace.Recycle(trs[i])
+			results[i].Outcome, results[i].Err = e.finishRecovery(t, m, ladderResult{}, err)
+			m.done = true
+			continue
+		}
+		live = append(live, i)
+	}
+	if len(live) == 0 {
+		return
+	}
+	if len(live) > 1 {
+		// Quarantine every member before any recovers (a lone member is
+		// quarantined by its own climb, under its stripe locks).
+		quarantine := offsets
+		if len(live) < n {
+			quarantine = make([]int, len(live))
+			for k, i := range live {
+				quarantine[k] = offsets[i]
 			}
-			done[i] = true
-			continue
 		}
-		valid = append(valid, off)
-	}
-	if len(valid) > 0 {
-		e.markQuarantinedAll(arr, valid)
+		e.markQuarantinedAll(t.arr, quarantine)
 	}
 
-	// Force the shared-statistics build now, on this goroutine, so the O(N)
-	// snapshot scan is not repeated (or raced for) inside the clusters.
-	shared := e.sharedFor(arr)
-	shared.Prepare()
-
-	// --- Cluster members by stripe-range connectivity. ---
-	ss := e.stripesFor(arr)
-	stripeSeen := map[int]bool{}
-	for i, off := range offsets {
-		if !done[i] {
-			stripeSeen[ss.stripeOf(off)] = true
-		}
+	ss := e.stripesFor(t.arr)
+	var one [1]cluster
+	clusters := ss.clusters(one[:0], ms, live)
+	if len(clusters) == 1 && ctx.Done() == nil {
+		// Single cluster, nothing to abandon: run inline, no goroutine.
+		b := batch{e: e, ctx: ctx, t: t, ms: ms, ss: ss}
+		b.run(clusters[0], results)
+		return
 	}
-	stripes := make([]int, 0, len(stripeSeen))
-	for s := range stripeSeen {
-		stripes = append(stripes, s)
-	}
-	sort.Ints(stripes)
-	// Two members conflict iff their three-stripe lock ranges overlap, i.e.
-	// their stripes are within 2 of each other; chain such stripes into one
-	// cluster.
-	clusterOf := map[int]int{} // stripe -> cluster id
-	nclusters := 0
-	for i, s := range stripes {
-		if i == 0 || s-stripes[i-1] > 2 {
-			nclusters++
-		}
-		clusterOf[s] = nclusters - 1
-	}
-	type cluster struct {
-		members []int // indices into offsets, submission order
-		lo, hi  int   // stripe lock range
-	}
-	clusters := make([]cluster, nclusters)
-	for i := range clusters {
-		clusters[i].lo, clusters[i].hi = ss.n, -1
-	}
-	for i, off := range offsets {
-		if done[i] {
-			continue
-		}
-		c := &clusters[clusterOf[ss.stripeOf(off)]]
-		c.members = append(c.members, i)
-		lo, hi := ss.rangeFor(off)
-		if lo < c.lo {
-			c.lo = lo
-		}
-		if hi > c.hi {
-			c.hi = hi
-		}
-	}
-
-	type memberResult struct {
-		i   int
-		out Outcome
-		err error
+	if len(clusters) > 1 {
+		// Force the shared-statistics build now, on this goroutine, so the
+		// O(N) snapshot scan is not raced for inside the clusters.
+		e.sharedFor(t.arr).Prepare()
 	}
 	// Buffered so background clusters finishing after abandonment never
 	// block on a collector that has already returned.
-	resCh := make(chan memberResult, len(offsets))
-	run := func(c cluster) {
-		// One lock acquisition per cluster: every member's trace carries the
-		// same stripe_wait span, because that is literally the wait they
-		// shared.
-		t0 := time.Now()
-		if err := ss.acquireRange(ctx, c.lo, c.hi); err != nil {
-			wait := time.Since(t0)
-			for _, i := range c.members {
-				trs[i].ObserveDur(trace.StageStripeWait, t0, wait)
-				off := offsets[i]
-				lerr := fmt.Errorf("%w: %s[%d]: waiting for recovery lock: %v", ErrRecoveryAbandoned, alloc.Name, off, err)
-				_, ferr := e.finishRecovery(alloc, off, ladderResult{}, lerr, trs[i])
-				if owned[i] {
-					e.tracer.Finish(trs[i])
-					trace.Recycle(trs[i])
+	b := &batch{e: e, ctx: ctx, t: t, ms: ms, ss: ss,
+		resCh: make(chan memberResult, len(live))}
+	for _, c := range clusters {
+		go b.run(c, nil)
+	}
+	for pending := len(live); pending > 0; pending-- {
+		select {
+		case r := <-b.resCh:
+			results[r.i].Outcome, results[r.i].Err = r.out, r.err
+			ms[r.i].done = true
+		case <-ctx.Done():
+			for i, off := range offsets {
+				if !ms[i].done {
+					results[i].Err = fmt.Errorf("%w: %s[%d]: %v", ErrRecoveryAbandoned, t.name, off, ctx.Err())
 				}
-				resCh <- memberResult{i: i, err: ferr}
 			}
 			return
 		}
-		wait := time.Since(t0)
-		for _, i := range c.members {
-			trs[i].ObserveDur(trace.StageStripeWait, t0, wait)
-		}
-		defer ss.release(c.lo, c.hi)
-		// One Env for the whole cluster: the mask is live, the shared
-		// statistics are frozen, and the scratch buffers amortize across
-		// members. Reseeding restores each member's private random stream.
-		env := e.envFor(arr, 0)
-		members := c.members
-		if e.opts.FrontierBatch {
-			// Copy so the frontier reordering below never mutates the
-			// cluster built from submission order.
-			members = append([]int(nil), members...)
-		}
-		for n := 0; n < len(members); n++ {
-			if e.opts.FrontierBatch {
-				// Frontier-inward: of the still-pending members, recover the
-				// one with the most healthy face neighbors next. Earlier
-				// repairs release quarantine, so interior cells gain healthy
-				// neighbors as the frontier advances; ties keep submission
-				// order. Each member keeps its own pre-assigned seed.
-				best, bestN := n, frontierHealthy(env, arr, offsets[members[n]])
-				for j := n + 1; j < len(members); j++ {
-					if hn := frontierHealthy(env, arr, offsets[members[j]]); hn > bestN {
-						best, bestN = j, hn
-					}
-				}
-				if best != n {
-					picked := members[best]
-					copy(members[n+1:best+1], members[n:best])
-					members[n] = picked
-				}
-			}
-			i := members[n]
-			env.Reseed(seeds[i])
-			res, rerr := e.reconstruct(ctx, arr, alloc.Policy.Any, alloc.Policy.Method, offsets[i], alloc.Policy.Range, alloc.Name, env, trs[i], time.Now())
-			out, ferr := e.finishRecovery(alloc, offsets[i], res, rerr, trs[i])
-			if owned[i] {
-				e.tracer.Finish(trs[i])
-				trace.Recycle(trs[i])
-			}
-			resCh <- memberResult{i: i, out: out, err: ferr}
-		}
 	}
+}
 
-	pending := 0
-	for _, c := range clusters {
-		pending += len(c.members)
+// clusters groups the live members by stripe-range connectivity: two
+// members conflict iff their three-stripe lock ranges overlap, i.e. their
+// stripes are within 2 of each other, and such stripes chain into one
+// cluster. The clusters are appended to dst in stripe order, members in
+// submission order; live is reordered in place.
+func (ss *stripeSet) clusters(dst []cluster, ms []member, live []int) []cluster {
+	stripe := func(i int) int { return ss.stripeOf(ms[i].off) }
+	if len(live) > 1 {
+		slices.SortStableFunc(live, func(a, b int) int { return cmp.Compare(stripe(a), stripe(b)) })
 	}
-	if len(clusters) == 1 && ctx.Done() == nil {
-		// Single cluster, nothing to abandon: run inline, no goroutine.
-		run(clusters[0])
-	} else {
-		for _, c := range clusters {
-			go run(c)
+	clusters := dst
+	start := 0
+	for k := 1; k <= len(live); k++ {
+		if k < len(live) && stripe(live[k])-stripe(live[k-1]) <= 2 {
+			continue
 		}
+		members := live[start:k]
+		lo, _ := ss.rangeFor(ms[members[0]].off)
+		_, hi := ss.rangeFor(ms[members[len(members)-1]].off)
+		slices.Sort(members) // back to submission order
+		clusters = append(clusters, cluster{members: members, lo: lo, hi: hi})
+		start = k
 	}
+	return clusters
+}
 
-	if ctx.Done() == nil {
-		for ; pending > 0; pending-- {
-			r := <-resCh
-			results[r.i].Outcome, results[r.i].Err = r.out, r.err
-		}
-		return results
-	}
-	received := done // out-of-range members already resolved
-	for pending > 0 {
-		select {
-		case r := <-resCh:
-			results[r.i].Outcome, results[r.i].Err = r.out, r.err
-			received[r.i] = true
-			pending--
-		case <-ctx.Done():
-			for i, off := range offsets {
-				if !received[i] {
-					results[i].Err = fmt.Errorf("%w: %s[%d]: %v", ErrRecoveryAbandoned, alloc.Name, off, ctx.Err())
-				}
-			}
-			return results
+// frontierPick moves to the front of pending the member with the most
+// healthy face neighbors (FrontierBatch ordering). Earlier repairs release
+// quarantine, so interior cells gain healthy neighbors as the frontier
+// advances; ties keep submission order. Each member keeps its own
+// pre-assigned seed.
+func frontierPick(env *predict.Env, arr *ndarray.Array, ms []member, pending []int) {
+	best, bestN := 0, frontierHealthy(env, arr, ms[pending[0]].off)
+	for j := 1; j < len(pending); j++ {
+		if hn := frontierHealthy(env, arr, ms[pending[j]].off); hn > bestN {
+			best, bestN = j, hn
 		}
 	}
-	return results
+	if best != 0 {
+		picked := pending[best]
+		copy(pending[1:best+1], pending[:best])
+		pending[0] = picked
+	}
 }
 
 // frontierHealthy counts the healthy (in-bounds, unquarantined) face
@@ -341,4 +376,52 @@ func frontierHealthy(env *predict.Env, arr *ndarray.Array, off int) int {
 		nb[d] = idx[d]
 	}
 	return n
+}
+
+// finishRecovery applies one member's post-climb bookkeeping (counters,
+// audit trail, spatial analytics, trace annotation) and, when the engine
+// minted the member's trace, finishes and recycles it.
+func (e *Engine) finishRecovery(t target, m *member, res ladderResult, err error) (Outcome, error) {
+	off, tr := m.off, m.tr
+	if m.owned {
+		defer func() {
+			e.tracer.Finish(tr)
+			trace.Recycle(tr)
+		}()
+	}
+	if err != nil {
+		tr.SetResult(t.name, t.tenant, off, false, err.Error())
+		e.mu.Lock()
+		e.stats.Fallbacks++
+		e.mu.Unlock()
+		if errors.Is(err, ErrCheckpointRestartRequired) {
+			e.recordSpatial(t.arr, off, res, false)
+		}
+		e.audit.record(AuditEntry{Alloc: t.name, Offset: off, Err: err.Error()})
+		return Outcome{}, err
+	}
+	e.recordSpatial(t.arr, off, res, true)
+	e.mu.Lock()
+	e.stats.Recovered++
+	if res.tuned {
+		e.stats.Tuned++
+	}
+	e.byMethod[res.method]++
+	// Outcome details are drawn from a tiny method x stage set; memoizing
+	// them keeps fmt.Sprintf off the recovery hot path.
+	detail, ok := e.outcomes[outcomeKey{res.method, res.stage}]
+	if !ok {
+		detail = fmt.Sprintf("method=%v stage=%v", res.method, res.stage)
+		e.outcomes[outcomeKey{res.method, res.stage}] = detail
+	}
+	e.mu.Unlock()
+	tr.SetResult(t.name, t.tenant, off, true, detail)
+	e.audit.record(AuditEntry{
+		Alloc: t.name, Offset: off, Method: res.method, Tuned: res.tuned,
+		Stage: res.stage, Old: res.old, New: res.value, OK: true,
+	})
+	return Outcome{
+		Allocation: t.alloc, Offset: off, Method: res.method, Tuned: res.tuned,
+		Stage: res.stage, Old: res.old, New: res.value,
+	}, nil
 }

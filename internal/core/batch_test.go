@@ -74,7 +74,7 @@ func TestRecoverBatchMatchesSequential(t *testing.T) {
 			for i, off := range offs {
 				outs[i], errs[i] = engSeq.RecoverElement(allocSeq, off)
 			}
-			results := engBat.RecoverBatch(context.Background(), allocBat, offs)
+			results := engBat.RecoverBatch(context.Background(), allocBat, offs, nil)
 
 			for i := range offs {
 				r := results[i]
@@ -115,8 +115,8 @@ func TestRecoverBatchDeterministic(t *testing.T) {
 		offs := stormOffsets(a1)
 		corruptAndMark(eng1, alloc1, offs)
 		corruptAndMark(eng2, alloc2, offs)
-		r1 := eng1.RecoverBatch(context.Background(), alloc1, offs)
-		r2 := eng2.RecoverBatch(context.Background(), alloc2, offs)
+		r1 := eng1.RecoverBatch(context.Background(), alloc1, offs, nil)
+		r2 := eng2.RecoverBatch(context.Background(), alloc2, offs, nil)
 		for i := range offs {
 			if (r1[i].Err == nil) != (r2[i].Err == nil) ||
 				math.Float64bits(r1[i].Outcome.New) != math.Float64bits(r2[i].Outcome.New) {
@@ -137,7 +137,7 @@ func TestRecoverBatchOutOfRange(t *testing.T) {
 	eng, a, alloc := batchFixture(3, registry.RecoverWith(predict.MethodAverage))
 	good := a.Offset(30, 5)
 	corruptAndMark(eng, alloc, []int{good})
-	results := eng.RecoverBatch(context.Background(), alloc, []int{-1, good, a.Len()})
+	results := eng.RecoverBatch(context.Background(), alloc, []int{-1, good, a.Len()}, nil)
 	if results[0].Err == nil || results[2].Err == nil {
 		t.Fatalf("out-of-range members did not fail: %+v", results)
 	}
@@ -157,7 +157,7 @@ func TestRecoverBatchAbandon(t *testing.T) {
 	corruptAndMark(eng, alloc, offs)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results := eng.RecoverBatch(ctx, alloc, offs)
+	results := eng.RecoverBatch(ctx, alloc, offs, nil)
 	for i, r := range results {
 		if r.Err == nil {
 			// A cluster may win the race and finish before the collector
@@ -208,7 +208,7 @@ func TestRecoverBatchStress(t *testing.T) {
 		wg.Add(1)
 		go func(offs []int) {
 			defer wg.Done()
-			for i, r := range eng.RecoverBatch(context.Background(), alloc, offs) {
+			for i, r := range eng.RecoverBatch(context.Background(), alloc, offs, nil) {
 				if r.Err != nil {
 					t.Errorf("batch member %d (offset %d): %v", i, r.Offset, r.Err)
 				}

@@ -56,7 +56,7 @@ func BenchmarkRecoveryHotPath(b *testing.B) {
 				a.SetOffset(off, math.NaN())
 				eng.MarkCorrupt(alloc, off)
 			}
-			for _, r := range eng.RecoverBatch(ctx, alloc, offs) {
+			for _, r := range eng.RecoverBatch(ctx, alloc, offs, nil) {
 				if r.Err != nil {
 					b.Fatal(r.Err)
 				}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"spatialdue/internal/autotune"
 	"spatialdue/internal/ndarray"
 	"spatialdue/internal/predict"
 	"spatialdue/internal/registry"
@@ -69,7 +70,7 @@ const burstTol = 1e-7
 // many elements remain quarantined.
 func (e *Engine) RecoverBurst(alloc *registry.Allocation, offsets []int) (BurstOutcome, error) {
 	ss := e.stripesFor(alloc.Array)
-	ss.acquireAllBlocking()
+	ss.acquireRange(context.Background(), 0, ss.n-1)
 	defer ss.releaseAll()
 	return e.recoverBurst(alloc.Array, alloc.Policy, offsets)
 }
@@ -178,9 +179,8 @@ func (e *Engine) recoverBurst(arr *ndarray.Array, policy registry.Policy, offset
 		// Tune once at the burst's first element; the whole burst shares
 		// locality.
 		arr.CoordsInto(idx, work[0])
-		sel, err := selectTuned(e, env, idx)
-		if err == nil {
-			method, tuned = sel, true
+		if sel, err := autotune.Select(env, idx, e.opts.Tune); err == nil {
+			method, tuned = sel.Best, true
 		} else {
 			method = e.opts.Provisional
 		}
@@ -226,6 +226,7 @@ func (e *Engine) recoverBurst(arr *ndarray.Array, policy registry.Policy, offset
 		}
 	}
 
+	burst := target{arr: arr, name: "burst", policy: policy}
 	recovered, tunedExtra := 0, 0
 	var lastErr error
 	failed := 0
@@ -239,7 +240,7 @@ func (e *Engine) recoverBurst(arr *ndarray.Array, policy registry.Policy, offset
 			continue
 		}
 		out.Escalated++
-		res, err := e.reconstruct(context.Background(), arr, policy.Any, policy.Method, off, policy.Range, "burst", e.envFor(arr, e.nextSeed()), nil, time.Now())
+		res, err := e.reconstruct(context.Background(), burst, off, e.envFor(arr, e.nextSeed()), nil, time.Now())
 		if err != nil {
 			failed++
 			lastErr = err
@@ -275,15 +276,6 @@ func (e *Engine) recoverBurst(arr *ndarray.Array, policy registry.Policy, offset
 			ErrCheckpointRestartRequired, failed, len(work), lastErr)
 	}
 	return out, nil
-}
-
-// selectTuned runs the auto-tuner and returns the winning method.
-func selectTuned(e *Engine, env *predict.Env, idx []int) (predict.Method, error) {
-	sel, err := autotuneSelect(env, idx, e.opts.Tune)
-	if err != nil {
-		return 0, err
-	}
-	return sel, nil
 }
 
 func abs(v float64) float64 {

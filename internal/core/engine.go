@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"spatialdue/internal/autotune"
 	"spatialdue/internal/bitflip"
@@ -38,10 +37,10 @@ import (
 // and the caller must fall back to rolling back to a checkpoint.
 var ErrCheckpointRestartRequired = errors.New("core: checkpoint-restart required")
 
-// ErrRecoveryAbandoned is returned by the context-aware recovery entry
-// points when the context expires before a verified value is written: the
-// deadline passed while waiting for the array's recovery lock, or mid-climb
-// on the escalation ladder. The element stays quarantined, so later
+// ErrRecoveryAbandoned is returned for a RecoverBatch member when the
+// batch's context expires before the member's verified value is written:
+// the deadline passed while waiting for the stripe locks, or mid-climb on
+// the escalation ladder. The element stays quarantined, so later
 // recoveries of its neighbors never trust it, and a retry (or checkpoint
 // restart) remains safe.
 var ErrRecoveryAbandoned = errors.New("core: recovery abandoned")
@@ -80,9 +79,11 @@ type Options struct {
 	// that to exercise double faults).
 	StageHook func(StageEvent)
 	// TuneCacheBlock enables region-level memoization of RECOVER_ANY
-	// tuning decisions: one tuner run serves every corruption inside a
-	// TuneCacheBlock^d region of the same array. Zero disables caching
-	// (every corruption re-tunes, as in the paper).
+	// tuning decisions when positive: one tuner run serves every
+	// corruption inside the same cache region of an array. The regions are
+	// the array's lock stripes (see cacheFor), whatever the value; only its
+	// sign is read. Zero disables caching (every corruption re-tunes, as in
+	// the paper).
 	TuneCacheBlock int
 	// HotSpotZ is the |G*| z-score past which a stripe counts as an error
 	// hot spot (or, negated, a cold spot) in the spatial analytics. Zero
@@ -190,9 +191,6 @@ func (l recLock) lock(ctx context.Context) error {
 	}
 }
 
-// lockBlocking acquires the lock unconditionally (legacy non-context paths).
-func (l recLock) lockBlocking() { l <- struct{}{} }
-
 func (l recLock) unlock() { <-l }
 
 // NewEngine creates an engine with its own allocation registry.
@@ -219,9 +217,10 @@ func NewEngine(opts Options) *Engine {
 func (e *Engine) Table() *registry.Table { return e.table }
 
 // Tracer exposes the engine's trace collector: stage-duration histograms
-// and the slowest-N trace ring. Recoveries entered without a context trace
-// (direct RecoverElement calls) mint and finish their own trace here;
-// recoveries carrying a service trace are finished by the service after
+// and the slowest-N trace ring. Recoveries entered without a caller trace
+// (RecoverElement, RecoverAddress, FTI repairs, nil RecoverBatch members)
+// mint and finish their own trace here; traces the caller hands to
+// RecoverBatch are finished by the caller — the service does it after
 // journal completion, so their spans include the journal writes.
 func (e *Engine) Tracer() *trace.Collector { return e.tracer }
 
@@ -319,7 +318,7 @@ func (e *Engine) AttachCheckpoints(w *fti.World, rank int) {
 // FieldUpdated so the shared recovery statistics are rebuilt.
 func (e *Engine) WithArrayLock(arr *ndarray.Array, f func()) {
 	ss := e.stripesFor(arr)
-	ss.acquireAllBlocking()
+	ss.acquireRange(context.Background(), 0, ss.n-1)
 	defer ss.releaseAll()
 	f()
 }
@@ -328,13 +327,6 @@ func (e *Engine) WithArrayLock(arr *ndarray.Array, f func()) {
 // allocation and repairs the affected element (Section 3.3). An
 // unregistered address yields ErrCheckpointRestartRequired.
 func (e *Engine) RecoverAddress(addr uint64) (Outcome, error) {
-	return e.RecoverAddressCtx(context.Background(), addr)
-}
-
-// RecoverAddressCtx is RecoverAddress with a context governing the whole
-// recovery (lock wait, prediction, verification, ladder climb); see
-// RecoverElementCtx for the deadline semantics.
-func (e *Engine) RecoverAddressCtx(ctx context.Context, addr uint64) (Outcome, error) {
 	alloc, off, err := e.table.Lookup(addr)
 	if err != nil {
 		e.mu.Lock()
@@ -346,128 +338,23 @@ func (e *Engine) RecoverAddressCtx(ctx context.Context, addr uint64) (Outcome, e
 		// (the HTTP layer maps it to 422, not 404).
 		return Outcome{}, fmt.Errorf("%w: %w", ErrCheckpointRestartRequired, err)
 	}
-	return e.RecoverElementCtx(ctx, alloc, off)
+	return e.RecoverElement(alloc, off)
 }
 
 // RecoverElement reconstructs the element at linear offset off of a
 // registered allocation according to its recovery policy, verifies the
 // reconstruction (escalating through the recovery ladder on failure),
-// writes the value in place, and reports the outcome.
+// writes the value in place, and reports the outcome. It is RecoverBatch
+// with one member and no deadline.
 func (e *Engine) RecoverElement(alloc *registry.Allocation, off int) (Outcome, error) {
-	return e.RecoverElementCtx(context.Background(), alloc, off)
+	return e.recoverOne(allocTarget(alloc), off)
 }
 
-// RecoverElementCtx is RecoverElement under a context. When the context
-// expires the call returns ErrRecoveryAbandoned immediately — even if a
-// predictor or checkpoint restore is wedged — so a bounded worker pool can
-// give up on a stuck recovery without leaking its worker. The abandoned
-// climb keeps running in the background holding the array's recovery lock:
-// it aborts at its next cooperative checkpoint (every ladder-stage entry and
-// every attempt), restores the pre-recovery value, leaves the element
-// quarantined, and only then releases the lock, so no concurrent recovery
-// ever observes a half-finished repair. A recovery that completes after
-// abandonment is still counted and audited.
-func (e *Engine) RecoverElementCtx(ctx context.Context, alloc *registry.Allocation, off int) (Outcome, error) {
-	if ctx.Done() == nil {
-		// Not cancelable: run inline, no goroutine overhead.
-		return e.recoverElementSync(ctx, alloc, off)
-	}
-	type result struct {
-		out Outcome
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		out, err := e.recoverElementSync(ctx, alloc, off)
-		done <- result{out, err}
-	}()
-	select {
-	case r := <-done:
-		return r.out, r.err
-	case <-ctx.Done():
-		return Outcome{}, fmt.Errorf("%w: %s[%d]: %v", ErrRecoveryAbandoned, alloc.Name, off, ctx.Err())
-	}
-}
-
-// recoverElementSync runs one complete element recovery on the calling
-// goroutine: stripe locks, ladder climb, bookkeeping. If off is out of the
-// array's range the stripe span falls back to the whole table (reconstruct
-// rejects the offset under the locks).
-func (e *Engine) recoverElementSync(ctx context.Context, alloc *registry.Allocation, off int) (Outcome, error) {
-	// A context-carried trace (the service path) is finished by its owner
-	// after journal completion; otherwise the engine mints and finishes one
-	// itself, so direct RecoverElement calls feed the histograms too.
-	tr, external := trace.FromContext(ctx)
-	var t0 time.Time
-	if !external {
-		tr = trace.GetPooled()
-		// The trace was just born; its birth instant doubles as the
-		// stripe-wait origin, saving a clock read on the hot path.
-		t0 = tr.Born()
-		defer func() {
-			e.tracer.Finish(tr)
-			trace.Recycle(tr)
-		}()
-	}
-	seed := e.nextSeed()
-	ss := e.stripesFor(alloc.Array)
-	lo, hi := 0, ss.n-1
-	if off >= 0 && off < alloc.Array.Len() {
-		lo, hi = ss.rangeFor(off)
-	}
-	if external {
-		t0 = time.Now()
-	}
-	if err := ss.acquireRange(ctx, lo, hi); err != nil {
-		tr.Observe(trace.StageStripeWait, t0)
-		err = fmt.Errorf("%w: %s[%d]: waiting for recovery lock: %v", ErrRecoveryAbandoned, alloc.Name, off, err)
-		return e.finishRecovery(alloc, off, ladderResult{}, err, tr)
-	}
-	t0 = tr.ObserveSince(trace.StageStripeWait, t0)
-	env := e.envFor(alloc.Array, seed)
-	res, err := e.reconstruct(ctx, alloc.Array, alloc.Policy.Any, alloc.Policy.Method, off, alloc.Policy.Range, alloc.Name, env, tr, t0)
-	ss.release(lo, hi)
-	return e.finishRecovery(alloc, off, res, err, tr)
-}
-
-// finishRecovery applies the post-climb bookkeeping (counters, audit trail,
-// trace annotation) shared by the single-element and batch paths.
-func (e *Engine) finishRecovery(alloc *registry.Allocation, off int, res ladderResult, err error, tr *trace.Trace) (Outcome, error) {
-	if err != nil {
-		tr.SetResult(alloc.Name, alloc.Tenant, off, false, err.Error())
-		e.mu.Lock()
-		e.stats.Fallbacks++
-		e.mu.Unlock()
-		if errors.Is(err, ErrCheckpointRestartRequired) {
-			e.recordSpatial(alloc.Array, off, res, false)
-		}
-		e.audit.record(AuditEntry{Alloc: alloc.Name, Offset: off, Err: err.Error()})
-		return Outcome{}, err
-	}
-	e.recordSpatial(alloc.Array, off, res, true)
-	e.mu.Lock()
-	e.stats.Recovered++
-	if res.tuned {
-		e.stats.Tuned++
-	}
-	e.byMethod[res.method]++
-	// Outcome details are drawn from a tiny method x stage set; memoizing
-	// them keeps fmt.Sprintf off the recovery hot path.
-	detail, ok := e.outcomes[outcomeKey{res.method, res.stage}]
-	if !ok {
-		detail = fmt.Sprintf("method=%v stage=%v", res.method, res.stage)
-		e.outcomes[outcomeKey{res.method, res.stage}] = detail
-	}
-	e.mu.Unlock()
-	tr.SetResult(alloc.Name, alloc.Tenant, off, true, detail)
-	e.audit.record(AuditEntry{
-		Alloc: alloc.Name, Offset: off, Method: res.method, Tuned: res.tuned,
-		Stage: res.stage, Old: res.old, New: res.value, OK: true,
-	})
-	return Outcome{
-		Allocation: alloc, Offset: off, Method: res.method, Tuned: res.tuned,
-		Stage: res.stage, Old: res.old, New: res.value,
-	}, nil
+// recoverOne runs a batch of one without a deadline.
+func (e *Engine) recoverOne(t target, off int) (Outcome, error) {
+	var r [1]BatchResult
+	e.recoverBatch(context.Background(), t, []int{off}, nil, r[:])
+	return r[0].Outcome, r[0].Err
 }
 
 // MethodCounts returns the lifetime count of successful recoveries per
@@ -488,48 +375,11 @@ func (e *Engine) MethodCounts() map[predict.Method]int64 {
 // repairing via the per-dataset policy recorded by fti.Protect.
 func (e *Engine) FTIRepairer() fti.RepairFunc {
 	return func(ds *fti.Dataset, off int) (float64, error) {
-		tr := trace.GetPooled()
-		defer func() {
-			e.tracer.Finish(tr)
-			trace.Recycle(tr)
-		}()
-		tr.SetTarget("fti:"+ds.Name, "", off)
-		seed := e.nextSeed()
-		ss := e.stripesFor(ds.Array)
-		lo, hi := 0, ss.n-1
-		if off >= 0 && off < ds.Array.Len() {
-			lo, hi = ss.rangeFor(off)
-		}
-		t0 := tr.Born()
-		ss.acquireRangeBlocking(lo, hi)
-		t0 = tr.ObserveSince(trace.StageStripeWait, t0)
-		res, err := e.reconstruct(context.Background(), ds.Array, ds.Policy.Any, ds.Policy.Method, off, nil, "fti:"+ds.Name, e.envFor(ds.Array, seed), tr, t0)
-		ss.release(lo, hi)
-		if err != nil {
-			tr.SetOutcome(false, err.Error())
-			e.mu.Lock()
-			e.stats.Fallbacks++
-			e.mu.Unlock()
-			if errors.Is(err, ErrCheckpointRestartRequired) {
-				e.recordSpatial(ds.Array, off, res, false)
-			}
-			e.audit.record(AuditEntry{Alloc: "fti:" + ds.Name, Offset: off, Err: err.Error()})
-			return 0, err
-		}
-		e.recordSpatial(ds.Array, off, res, true)
-		tr.SetOutcome(true, fmt.Sprintf("method=%v stage=%v", res.method, res.stage))
-		e.mu.Lock()
-		e.stats.Recovered++
-		if res.tuned {
-			e.stats.Tuned++
-		}
-		e.byMethod[res.method]++
-		e.mu.Unlock()
-		e.audit.record(AuditEntry{
-			Alloc: "fti:" + ds.Name, Offset: off, Method: res.method, Tuned: res.tuned,
-			Stage: res.stage, Old: res.old, New: res.value, OK: true,
-		})
-		return res.value, nil
+		out, err := e.recoverOne(target{
+			arr: ds.Array, name: "fti:" + ds.Name,
+			policy: registry.Policy{Any: ds.Policy.Any, Method: ds.Policy.Method},
+		}, off)
+		return out.New, err
 	}
 }
 
@@ -680,16 +530,6 @@ func (e *Engine) recordSpatial(arr *ndarray.Array, off int, res ladderResult, ok
 	} else {
 		e.spatialFor(arr).Accumulate(s, math.NaN(), res.verifyFails, int(StageExhausted), 0, false)
 	}
-}
-
-// autotuneSelect wraps the tuner for internal reuse (single-element and
-// burst paths share it).
-func autotuneSelect(env *predict.Env, idx []int, cfg autotune.Config) (predict.Method, error) {
-	sel, err := autotune.Select(env, idx, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return sel.Best, nil
 }
 
 // outcomeKey indexes the memoized trace-outcome detail strings.

@@ -8,9 +8,7 @@ import (
 
 	"spatialdue/internal/autotune"
 	"spatialdue/internal/bitflip"
-	"spatialdue/internal/ndarray"
 	"spatialdue/internal/predict"
-	"spatialdue/internal/registry"
 	"spatialdue/internal/trace"
 )
 
@@ -147,7 +145,7 @@ func (e *Engine) enterStage(alloc string, off int, st Stage, m predict.Method, c
 // reconstruct supervises the recovery of one element: quarantine, masked
 // prediction, plausibility verification, and the escalation ladder. The
 // caller must hold the element's stripe range (or every stripe); see
-// stripes.go. On success the verified value
+// stripes.go. off must lie inside t.arr. On success the verified value
 // has been written in place and the element released from quarantine; on
 // failure the pre-recovery value is back in place and the element remains
 // quarantined.
@@ -159,14 +157,12 @@ func (e *Engine) enterStage(alloc string, off int, st Stage, m predict.Method, c
 // exhausted-stage accounting — the recovery was cut short, not beaten).
 // The caller supplies the prediction environment (see Engine.envFor): a
 // live quarantine mask plus the array's shared statistics, already seeded
-// with this recovery's deterministic seed. Sequential recoveries build a
-// fresh Env per element; batch clusters share one Env (and its scratch
-// buffers) across members, reseeding per member, which is observationally
-// identical.
-func (e *Engine) reconstruct(ctx context.Context, arr *ndarray.Array, tuneAny bool, fixed predict.Method, off int, vr *registry.ValueRange, alloc string, env *predict.Env, tr *trace.Trace, clk time.Time) (ladderResult, error) {
-	if off < 0 || off >= arr.Len() {
-		return ladderResult{}, fmt.Errorf("%w: offset %d out of range", ErrCheckpointRestartRequired, off)
-	}
+// with this recovery's deterministic seed. A stripe cluster shares one Env
+// (and its scratch buffers) across its members, reseeding between them,
+// which is observationally identical to a fresh Env per element.
+func (e *Engine) reconstruct(ctx context.Context, t target, off int, env *predict.Env, tr *trace.Trace, clk time.Time) (ladderResult, error) {
+	arr, alloc, vr := t.arr, t.name, t.policy.Range
+	tuneAny, fixed := t.policy.Any, t.policy.Method
 	if err := ctx.Err(); err != nil {
 		return ladderResult{}, fmt.Errorf("%w: %s[%d]: %v", ErrRecoveryAbandoned, alloc, off, err)
 	}

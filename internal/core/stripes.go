@@ -113,6 +113,8 @@ func (ss *stripeSet) rangeFor(off int) (lo, hi int) {
 
 // acquireRange takes stripes lo..hi in ascending order, or releases
 // everything and returns the context error if it expires mid-acquisition.
+// Under context.Background() it blocks until it holds the range and cannot
+// fail; full-array operations pass 0, ss.n-1.
 func (ss *stripeSet) acquireRange(ctx context.Context, lo, hi int) error {
 	start := time.Now()
 	for i := lo; i <= hi; i++ {
@@ -129,25 +131,12 @@ func (ss *stripeSet) acquireRange(ctx context.Context, lo, hi int) error {
 	return nil
 }
 
-// acquireRangeBlocking is acquireRange for non-context paths.
-func (ss *stripeSet) acquireRangeBlocking(lo, hi int) {
-	start := time.Now()
-	for i := lo; i <= hi; i++ {
-		ss.locks[i].lockBlocking()
-	}
-	ss.waitNanos.Add(time.Since(start).Nanoseconds())
-	ss.acquisitions.Add(1)
-}
-
 // release drops stripes lo..hi (any order is safe; keep it simple).
 func (ss *stripeSet) release(lo, hi int) {
 	for i := lo; i <= hi; i++ {
 		ss.locks[i].unlock()
 	}
 }
-
-// acquireAllBlocking takes every stripe (full-array operations).
-func (ss *stripeSet) acquireAllBlocking() { ss.acquireRangeBlocking(0, ss.n-1) }
 
 // tryAcquireAll takes every stripe without blocking, backing out entirely if
 // any stripe is held. Unprotect uses it to refuse teardown while recoveries
@@ -192,7 +181,7 @@ func (ss *stripeSet) stripeSpan(s int) (lo, hi int) {
 func (e *Engine) ForEachStripeLocked(arr *ndarray.Array, f func(lo, hi int) error) error {
 	ss := e.stripesFor(arr)
 	for s := 0; s < ss.n; s++ {
-		ss.acquireRangeBlocking(s, s)
+		ss.acquireRange(context.Background(), s, s)
 		lo, hi := ss.stripeSpan(s)
 		err := f(lo, hi)
 		ss.release(s, s)
@@ -220,7 +209,7 @@ func (e *Engine) StripeSpan(arr *ndarray.Array, s int) (lo, hi int) {
 // StripeSpan(arr, s). f must not block on external I/O.
 func (e *Engine) WithStripeLock(arr *ndarray.Array, s int, f func()) {
 	ss := e.stripesFor(arr)
-	ss.acquireRangeBlocking(s, s)
+	ss.acquireRange(context.Background(), s, s)
 	defer ss.release(s, s)
 	f()
 }
@@ -303,7 +292,7 @@ func (e *Engine) markQuarantinedAll(arr *ndarray.Array, offs []int) {
 // outside WithArrayLock (it takes the stripes itself).
 func (e *Engine) FieldUpdated(arr *ndarray.Array) {
 	ss := e.stripesFor(arr)
-	ss.acquireAllBlocking()
+	ss.acquireRange(context.Background(), 0, ss.n-1)
 	defer ss.releaseAll()
 	e.sharedFor(arr).Rebuild(e.quarantine.offsets(arr))
 	e.InvalidateTuneCache(arr)
@@ -321,7 +310,7 @@ func (e *Engine) FieldUpdated(arr *ndarray.Array) {
 // is a property of the memory underneath, not of the field contents.
 func (e *Engine) FieldUpdatedStripes(arr *ndarray.Array, stripes []int) {
 	ss := e.stripesFor(arr)
-	ss.acquireAllBlocking()
+	ss.acquireRange(context.Background(), 0, ss.n-1)
 	defer ss.releaseAll()
 	e.sharedFor(arr).Rebuild(e.quarantine.offsets(arr))
 	seen := make(map[int]bool, 3*len(stripes))

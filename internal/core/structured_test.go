@@ -43,7 +43,7 @@ func TestRecoverBatchFrontierOrdersWipeInward(t *testing.T) {
 		}
 	}
 
-	results := eng.RecoverBatch(context.Background(), alloc, offsets)
+	results := eng.RecoverBatch(context.Background(), alloc, offsets, nil)
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatalf("offset %d: %v", r.Offset, r.Err)

@@ -67,12 +67,6 @@ func ParseFaultClass(s string) (FaultClass, error) {
 	return 0, fmt.Errorf("faultinject: unknown fault class %q", s)
 }
 
-// DataClasses returns the classes that corrupt array data (everything but
-// metadata), in flag order — the campaign axis.
-func DataClasses() []FaultClass {
-	return []FaultClass{ClassBit, ClassBurst, ClassRow, ClassColumn}
-}
-
 // StructuredTrial is one planned structured fault: a single physical event
 // that corrupts one or more cells.
 type StructuredTrial struct {
@@ -181,12 +175,5 @@ func (in *Injector) planCell(a *ndarray.Array, off int) Trial {
 func ApplyStructured(a *ndarray.Array, t StructuredTrial) {
 	for _, c := range t.Cells {
 		Apply(a, c)
-	}
-}
-
-// RevertStructured restores every cell's original value.
-func RevertStructured(a *ndarray.Array, t StructuredTrial) {
-	for _, c := range t.Cells {
-		Revert(a, c)
 	}
 }

@@ -111,11 +111,8 @@ func Vandermonde(rows, cols int) *Matrix {
 	return m
 }
 
-// Rows and Cols return the dimensions.
+// Rows returns the row count.
 func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the column count.
-func (m *Matrix) Cols() int { return m.cols }
 
 // At returns entry (r, c).
 func (m *Matrix) At(r, c int) byte { return m.data[r*m.cols+c] }

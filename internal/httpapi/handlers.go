@@ -611,19 +611,20 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Synchronous recoveries are traced too: the handler owns the trace
-	// (the engine sees it in the context and leaves finishing to us), so the
-	// spans cover exactly the in-engine work this endpoint times.
+	// (the engine annotates a caller-supplied trace and leaves finishing to
+	// us), so the spans cover exactly the in-engine work this endpoint times.
 	tr := trace.New()
 	if id, ok := trace.ParseTraceparent(r.Header.Get(TraceparentHeader)); ok {
 		tr = trace.WithID(id)
 	}
 	start := time.Now()
-	out, err := s.eng.RecoverElementCtx(trace.NewContext(r.Context(), tr), a, req.Offset)
+	res := s.eng.RecoverBatch(r.Context(), a, []int{req.Offset}, []*trace.Trace{tr})[0]
 	s.eng.Tracer().Finish(tr)
-	if err != nil {
-		writeError(w, err)
+	if res.Err != nil {
+		writeError(w, res.Err)
 		return
 	}
+	out := res.Outcome
 	writeJSON(w, http.StatusOK, RecoverReport{
 		Offset:         out.Offset,
 		Method:         out.Method.String(),

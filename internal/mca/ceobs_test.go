@@ -181,3 +181,13 @@ func TestScrubBankFindsOnlyThatBank(t *testing.T) {
 		}
 	}
 }
+
+func TestCECountedInStats(t *testing.T) {
+	m := New(1)
+	m.RaiseMemoryCE(0x1000)
+	m.RaiseMemoryCE(0x1FFF)
+	m.RaiseMemoryCEAt(0x2000, 5)
+	if _, ce, _ := m.Stats(); ce != 3 {
+		t.Errorf("Stats CE = %d, want 3", ce)
+	}
+}

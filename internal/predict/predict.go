@@ -129,9 +129,6 @@ func NewEnv(a *ndarray.Array, seed int64) *Env {
 // this: both are fed from the quarantine set).
 func (e *Env) SetShared(s *SharedStats) { e.shared = s }
 
-// Shared returns the attached SharedStats, or nil.
-func (e *Env) Shared() *SharedStats { return e.shared }
-
 // Reseed resets the random source to the same deterministic stream
 // NewEnv(a, seed) would produce. Batch recovery shares one Env across
 // members and reseeds per member so each reconstruction draws exactly the

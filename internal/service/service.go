@@ -641,9 +641,8 @@ func (s *Service) worker() {
 		s.pendingN -= len(ts)
 		dead := s.crashed != ""
 		s.mu.Unlock()
-		// Queue wait ends here, for the whole drained set at once. Recorded
-		// exactly once per task: transient members a batch later hands to the
-		// sequential retry path must not observe it again.
+		// Queue wait ends here, for the whole drained set at once, and is
+		// recorded exactly once per task: retries do not observe it again.
 		for i := range ts {
 			if !ts[i].enqueued.IsZero() {
 				ts[i].tr.Observe(trace.StageQueueWait, ts[i].enqueued)
@@ -668,7 +667,7 @@ func (s *Service) worker() {
 			ts = kept
 		}
 		// Group the drained tasks by allocation, preserving submission order
-		// within each group; singleton groups take the sequential path.
+		// within each group.
 		groups := make([][]task, 0, 1)
 		groupOf := make(map[*registry.Allocation]int, 1)
 		for _, tt := range ts {
@@ -684,11 +683,7 @@ func (s *Service) worker() {
 			if s.isCrashed() {
 				break
 			}
-			if len(g) == 1 {
-				s.process(g[0])
-			} else {
-				s.processBatch(g)
-			}
+			s.process(g)
 		}
 		s.mu.Lock()
 		s.busyN--
@@ -715,10 +710,17 @@ func (s *Service) shadowRestore(t task) bool {
 	return true
 }
 
-// process runs one recovery to its terminal outcome: deadline-bounded
-// attempts, jittered backoff on transient failures, breaker and journal
-// bookkeeping.
-func (s *Service) process(t task) {
+// process runs a same-allocation group of queued recoveries (often just
+// one) to their terminal outcomes through core.RecoverBatch. Every member
+// is already quarantined (MarkCorrupt at intake), so a batch is
+// bit-identical to recovering the group one at a time in submission order;
+// see core/batch.go. One retry rule covers every member: each RecoverBatch
+// call, under its own deadline, is one attempt for every member still
+// pending. Members that come back transient (abandoned) retry together
+// after a jittered backoff until MaxRetries retries are spent; every other
+// member gets its breaker and journal bookkeeping as soon as its attempt
+// returns.
+func (s *Service) process(ts []task) {
 	defer func() {
 		if r := recover(); r != nil {
 			if point, ok := faultinject.IsCrash(r); ok {
@@ -729,101 +731,55 @@ func (s *Service) process(t task) {
 		}
 	}()
 
-	var (
-		out      core.Outcome
-		err      error
-		attempts int
-	)
+	stage := "single"
+	if len(ts) > 1 {
+		stage = "batch"
+		s.mu.Lock()
+		s.stats.Batched += uint64(len(ts))
+		s.mu.Unlock()
+	}
+	offs := make([]int, 0, len(ts))
+	traces := make([]*trace.Trace, 0, len(ts))
 	// Goroutine labels make CPU profiles attributable: samples inside the
-	// ladder show up under their allocation and pipeline stage. The context
-	// carries the task's trace so the engine records spans into it (and
-	// leaves finishing it to finishTask, after the journal write).
-	base := trace.NewContext(context.Background(), t.tr)
-	pprof.Do(base, pprof.Labels(
-		"alloc", t.alloc.QualifiedName(), "stage", "single", "trace", t.tr.ID(),
-	), func(base context.Context) {
-		for {
-			attempts++
-			ctx := base
-			cancel := func() {}
-			if s.cfg.Deadline > 0 {
-				ctx, cancel = context.WithTimeout(ctx, s.cfg.Deadline)
-			}
-			out, err = s.eng.RecoverElementCtx(ctx, t.alloc, t.off)
-			cancel()
-			if err == nil || !transient(err) || attempts > s.cfg.MaxRetries {
-				return
-			}
-			s.mu.Lock()
-			s.stats.Retries++
-			s.mu.Unlock()
-			time.Sleep(s.backoff(attempts))
-		}
-	})
-
-	s.finishTask(t, out, err, attempts)
-}
-
-// processBatch runs a same-allocation group of queued recoveries through
-// the engine's coalesced fast path. Every member is already quarantined
-// (MarkCorrupt at intake), so RecoverBatch is bit-identical to processing
-// the group sequentially in submission order — see core/batch.go. Members
-// that come back transient (abandoned by the shared batch deadline) are
-// handed whole to the sequential retry path, which re-attempts them with
-// its own deadline and backoff before any journal or breaker bookkeeping
-// happens for them.
-func (s *Service) processBatch(ts []task) {
-	defer func() {
-		if r := recover(); r != nil {
-			if point, ok := faultinject.IsCrash(r); ok {
-				s.die(point)
-				return
-			}
-			panic(r)
-		}
-	}()
-
-	offs := make([]int, len(ts))
-	traces := make([]*trace.Trace, len(ts))
-	for i, t := range ts {
-		offs[i] = t.off
-		traces[i] = t.tr
-	}
-	var rs []core.BatchResult
+	// ladder show up under their allocation and pipeline stage. The lead
+	// member's trace ID names a batch (member IDs are in the outcome feed).
 	pprof.Do(context.Background(), pprof.Labels(
-		// One label set per batch; the lead member's trace ID names the
-		// cluster in profiles (member IDs are in the outcome feed).
-		"alloc", ts[0].alloc.QualifiedName(), "stage", "batch", "trace", ts[0].tr.ID(),
+		"alloc", ts[0].alloc.QualifiedName(), "stage", stage, "trace", ts[0].tr.ID(),
 	), func(base context.Context) {
-		ctx := base
-		cancel := func() {}
-		if s.cfg.Deadline > 0 {
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.Deadline)
+		for attempts := 1; len(ts) > 0; attempts++ {
+			offs, traces = offs[:0], traces[:0]
+			for _, t := range ts {
+				offs = append(offs, t.off)
+				traces = append(traces, t.tr)
+			}
+			ctx, cancel := base, context.CancelFunc(func() {})
+			if s.cfg.Deadline > 0 {
+				ctx, cancel = context.WithTimeout(base, s.cfg.Deadline)
+			}
+			// The engine records spans into the tasks' traces and leaves
+			// finishing them to finishTask, after the journal write.
+			rs := s.eng.RecoverBatch(ctx, ts[0].alloc, offs, traces)
+			cancel()
+			retry := ts[:0]
+			for i, r := range rs {
+				if s.isCrashed() {
+					return
+				}
+				if r.Err != nil && transient(r.Err) && attempts <= s.cfg.MaxRetries {
+					retry = append(retry, ts[i])
+					continue
+				}
+				s.finishTask(ts[i], r.Outcome, r.Err, attempts)
+			}
+			ts = retry
+			if len(ts) > 0 {
+				s.mu.Lock()
+				s.stats.Retries += uint64(len(ts))
+				s.mu.Unlock()
+				time.Sleep(s.backoff(attempts))
+			}
 		}
-		rs = s.eng.RecoverBatchTraced(ctx, ts[0].alloc, offs, traces)
-		cancel()
 	})
-
-	s.mu.Lock()
-	s.stats.Batched += uint64(len(ts))
-	s.mu.Unlock()
-
-	for i, r := range rs {
-		if s.isCrashed() {
-			return
-		}
-		if r.Err != nil && transient(r.Err) && s.cfg.MaxRetries > 0 {
-			// Transient member: the batch attempt does not count against the
-			// retry budget; the sequential path owns all of its bookkeeping.
-			s.mu.Lock()
-			s.stats.Retries++
-			s.mu.Unlock()
-			time.Sleep(s.backoff(1))
-			s.process(ts[i])
-			continue
-		}
-		s.finishTask(ts[i], r.Outcome, r.Err, 1)
-	}
 }
 
 // finishTask applies the terminal bookkeeping for one recovery: breaker

@@ -1,7 +1,7 @@
 // Package trace is the per-recovery tracing substrate: one Trace is minted
 // when a recovery enters the pipeline (service intake, journal replay, or a
-// W3C traceparent header on HTTP ingest) and carried by context through the
-// queue, the stripe locks, and the escalation ladder to its terminal
+// W3C traceparent header on HTTP ingest) and travels with its task through
+// the queue, the stripe locks, and the escalation ladder to its terminal
 // outcome. Along the way each pipeline stage records a monotonic-clock span
 // (queue wait, stripe-lock wait, per-rung predict/verify, checkpoint
 // restore, journal begin/finish), so a slow recovery can be attributed to
@@ -20,7 +20,6 @@
 package trace
 
 import (
-	"context"
 	cryptorand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
@@ -125,17 +124,12 @@ func reset(t *Trace) *Trace {
 // allocation off the recovery hot path.
 var pool = sync.Pool{New: func() any { return new(Trace) }}
 
-// GetPooled mints a trace backed by the recycle pool. Use only when the
-// minting code also controls the trace's end of life and hands it back via
-// Recycle — a pooled trace must never be retained past that point.
-func GetPooled() *Trace {
-	return reset(pool.Get().(*Trace))
-}
-
-// GetPooledAt is GetPooled with an explicit birth instant, so a batch
-// minting many member traces back to back pays one clock read instead of
-// one per member. born must carry the monotonic clock (i.e. come straight
-// from time.Now()).
+// GetPooledAt mints a trace backed by the recycle pool, born at born. Use
+// only when the minting code also controls the trace's end of life and
+// hands it back via Recycle — a pooled trace must never be retained past
+// that point. A batch minting many member traces back to back passes one
+// instant and pays one clock read instead of one per member; born must
+// carry the monotonic clock (i.e. come straight from time.Now()).
 func GetPooledAt(born time.Time) *Trace {
 	t := reset(pool.Get().(*Trace))
 	t.born = born
@@ -159,13 +153,6 @@ func WithID(id string) *Trace {
 		t.id = id
 	}
 	return t
-}
-
-// Born returns the trace's birth instant (monotonic). born is immutable
-// after minting, so no lock is needed; engine-owned recoveries reuse it as
-// the stripe-wait clock origin instead of reading the clock again.
-func (t *Trace) Born() time.Time {
-	return t.born
 }
 
 // ID returns the trace's 32-hex identifier ("" on nil).
@@ -315,20 +302,6 @@ func (t *Trace) Total() time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.total
-}
-
-// ctxKey carries a *Trace through a context.
-type ctxKey struct{}
-
-// NewContext returns ctx carrying t.
-func NewContext(ctx context.Context, t *Trace) context.Context {
-	return context.WithValue(ctx, ctxKey{}, t)
-}
-
-// FromContext extracts the trace carried by ctx, if any.
-func FromContext(ctx context.Context) (*Trace, bool) {
-	t, ok := ctx.Value(ctxKey{}).(*Trace)
-	return t, ok && t != nil
 }
 
 // ParseTraceparent extracts the trace-id from a W3C traceparent header
