@@ -100,7 +100,7 @@ func Select(env *predict.Env, idx []int, cfg Config) (Result, error) {
 	// can be neither probes nor stencil inputs, so they are skipped here and
 	// inside every predictor.
 	var probes []int
-	a.ForEachInPatch(idx, cfg.K, func(_ []int, off int) {
+	env.ForEachInPatch(idx, cfg.K, func(_ []int, off int) {
 		if off != skip && !env.Masked(off) {
 			probes = append(probes, off)
 		}

@@ -64,6 +64,8 @@ type Config struct {
 	// Workers bounds dataset-level parallelism (0 = GOMAXPROCS).
 	Workers int
 	// Progress, when non-nil, receives one line per completed dataset.
+	// Run calls it from its worker goroutines but under one mutex, so calls
+	// never overlap and the callback needs no locking of its own.
 	Progress func(string)
 	// RelErrClamp bounds individual relative errors when summing (0 selects
 	// the default 1e3). Large journaled campaigns can lower it to tighten
@@ -440,6 +442,7 @@ func Run(cfg Config) (*Results, error) {
 		wg    sync.WaitGroup
 		mu    sync.Mutex // guards first
 		first error
+		pmu   sync.Mutex // serializes cfg.Progress calls
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -454,7 +457,10 @@ func Run(cfg Config) (*Results, error) {
 			if resumed {
 				suffix = "resumed from journal"
 			}
-			cfg.Progress(fmt.Sprintf("%s/%s %s (%d trials)", j.app, dr.info.Name, suffix, cfg.Trials))
+			line := fmt.Sprintf("%s/%s %s (%d trials)", j.app, dr.info.Name, suffix, cfg.Trials)
+			pmu.Lock()
+			cfg.Progress(line)
+			pmu.Unlock()
 		}
 	}
 	done := make([]*datasetResult, len(jobs)) // indexed like jobs

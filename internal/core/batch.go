@@ -19,14 +19,16 @@ import (
 // checkpoint-library repair — runs through one runner, recoverBatch; an
 // element recovery is a batch of one. A batch
 //
-//   - quarantines every member in one coalesced pass (one quarantine-set
-//     lock, one shared-statistics exclusion sweep, both in submission
-//     order; a lone member is quarantined by its own climb),
+//   - looks the array's record up once (see state.go) and refuses every
+//     member when the allocation is no longer protected,
+//   - quarantines every member in one coalesced pass (one bitset sweep, one
+//     shared-statistics exclusion sweep, both in submission order; a lone
+//     member is quarantined by its own climb),
 //   - groups members into stripe clusters — members whose three-stripe lock
 //     ranges overlap — and runs the clusters concurrently (their read/write
 //     sets are provably disjoint; see stripes.go),
-//   - shares one predict.Env (and its allocation-free scratch buffers) per
-//     cluster, reseeding it between members, and
+//   - takes one pooled predict.Env (and its allocation-free scratch
+//     buffers) per cluster, resetting it to each member's seed, and
 //   - reuses auto-tune decisions across members in the same tune-cache
 //     block, since clustered members tune sequentially against the same
 //     cache.
@@ -58,8 +60,9 @@ type BatchResult struct {
 	// Outcome is the completed recovery (zero when Err != nil).
 	Outcome Outcome
 	// Err is the member's failure, if any: ErrCheckpointRestartRequired
-	// (out of range, ladder exhausted) or ErrRecoveryAbandoned (context
-	// expired), wrapped with the element's name and offset.
+	// (out of range, allocation not protected, ladder exhausted) or
+	// ErrRecoveryAbandoned (context expired), wrapped with the element's
+	// name and offset.
 	Err error
 }
 
@@ -69,6 +72,7 @@ type BatchResult struct {
 type target struct {
 	alloc  *registry.Allocation // reported in Outcome; nil for FTI datasets
 	arr    *ndarray.Array
+	st     *arrayState // arr's record; set by the runner, nil if unprotected
 	name   string
 	tenant string
 	policy registry.Policy
@@ -143,8 +147,8 @@ type member struct {
 
 // cluster is a run of members whose lock ranges chain together.
 type cluster struct {
-	members []int // member indices, submission order
-	lo, hi  int   // stripe lock range
+	from, to int // its member indices are live[from:to], submission order
+	lo, hi   int // stripe lock range
 }
 
 // memberResult carries one member's result from a cluster goroutine to the
@@ -155,13 +159,14 @@ type memberResult struct {
 	err error
 }
 
-// batch is the state the clusters of one recoverBatch call share.
+// batch is the state the clusters of one recoverBatch call share. The
+// member state is passed to run separately: the escape analysis cannot tell
+// the struct's fields apart, so keeping it out lets a batch of one keep its
+// members on the stack.
 type batch struct {
 	e     *Engine
 	ctx   context.Context
 	t     target
-	ms    []member
-	ss    *stripeSet
 	resCh chan memberResult // cluster goroutines report here
 }
 
@@ -180,48 +185,63 @@ func (b *batch) deliver(results []BatchResult, i int, out Outcome, err error) {
 
 // run recovers one cluster under a single lock acquisition: every member's
 // trace carries the same stripe_wait span, because that is literally the
-// wait they shared.
-func (b *batch) run(c cluster, results []BatchResult) {
-	e, t, ms := b.e, b.t, b.ms
+// wait they shared. ms and live are the batch's members and its in-range
+// member indices, grouped by cluster.
+func (b *batch) run(c cluster, ms []member, live []int, results []BatchResult) {
+	e, t, st := b.e, b.t, b.t.st
+	members := live[c.from:c.to]
 	t0 := time.Now()
-	lerr := b.ss.acquireRange(b.ctx, c.lo, c.hi)
+	lerr := st.stripes.acquireRange(b.ctx, c.lo, c.hi)
 	clk := time.Now() // chains into the first member's ladder spans
 	wait := clk.Sub(t0)
-	for _, i := range c.members {
+	for _, i := range members {
 		ms[i].tr.ObserveDur(trace.StageStripeWait, t0, wait)
 	}
-	if lerr != nil {
-		for _, i := range c.members {
-			err := fmt.Errorf("%w: %s[%d]: waiting for recovery lock: %v", ErrRecoveryAbandoned, t.name, ms[i].off, lerr)
+	if lerr == nil && st.retired {
+		// Unprotect ran while this cluster waited for its stripes: refuse,
+		// and keep the dead record out of the bookkeeping.
+		st.stripes.release(c.lo, c.hi)
+		t.st = nil
+	}
+	if lerr != nil || t.st == nil {
+		for _, i := range members {
+			var err error
+			if lerr != nil {
+				err = fmt.Errorf("%w: %s[%d]: waiting for recovery lock: %v", ErrRecoveryAbandoned, t.name, ms[i].off, lerr)
+			} else {
+				err = errNotProtected(t, ms[i].off)
+			}
 			out, ferr := e.finishRecovery(t, &ms[i], ladderResult{}, err)
 			b.deliver(results, i, out, ferr)
 		}
 		return
 	}
-	defer b.ss.release(c.lo, c.hi)
-	// One Env for the whole cluster: the mask is live, the shared statistics
-	// are frozen, and the scratch buffers amortize across members. It is
-	// built with the first member's seed and reseeded only between members,
-	// restoring each one's private random stream.
-	members := c.members
-	seeded := ms[members[0]].seed
-	env := e.envFor(t.arr, seeded)
+	defer st.stripes.release(c.lo, c.hi)
+	// One pooled Env for the whole cluster: the mask is live, the shared
+	// statistics are frozen, and the scratch buffers amortize across
+	// members. It is reset to each member's seed, restoring that member's
+	// private random stream.
+	env := st.env(ms[members[0]].seed)
+	defer st.envs.Put(env)
 	for k := range members {
 		if e.opts.FrontierBatch {
 			frontierPick(env, t.arr, ms, members[k:])
 		}
 		i := members[k]
-		if ms[i].seed != seeded {
-			seeded = ms[i].seed
-			env.Reseed(seeded)
-		}
 		if k > 0 {
+			env.Reset(ms[i].seed)
 			clk = time.Now()
 		}
 		res, err := e.reconstruct(b.ctx, t, ms[i].off, env, ms[i].tr, clk)
 		out, ferr := e.finishRecovery(t, &ms[i], res, err)
 		b.deliver(results, i, out, ferr)
 	}
+}
+
+// errNotProtected is the failure of a member whose allocation is not (or
+// no longer) protected.
+func errNotProtected(t target, off int) error {
+	return fmt.Errorf("%w: %s[%d]: allocation not protected", ErrCheckpointRestartRequired, t.name, off)
 }
 
 // recoverBatch is the recovery runner behind every entry point. It fills
@@ -234,9 +254,21 @@ func (e *Engine) recoverBatch(ctx context.Context, t target, offsets []int, trac
 	if n > 1 {
 		e.observeBatch(n)
 	}
-	ms := make([]member, n)
-	live := make([]int, 0, n) // in-range members, submission order
-	born := time.Now()        // one birth instant shared by every owned member
+	// A registered allocation must still have its record; checkpoint-library
+	// datasets get theirs on first repair.
+	if t.alloc != nil {
+		t.st = e.state(t.arr)
+	} else {
+		t.st = e.stateFor(t.arr)
+	}
+	// A batch of one keeps its bookkeeping on the stack.
+	var oneM [1]member
+	var oneL [1]int
+	ms, live := oneM[:], oneL[:0] // live: in-range members, submission order
+	if n > 1 {
+		ms, live = make([]member, n), make([]int, 0, n)
+	}
+	born := time.Now() // one birth instant shared by every owned member
 	for i, off := range offsets {
 		m := &ms[i]
 		m.off = off
@@ -250,8 +282,13 @@ func (e *Engine) recoverBatch(ctx context.Context, t target, offsets []int, trac
 		// Seeds are drawn in submission order, exactly as a loop of
 		// single-element recoveries would have drawn them.
 		m.seed = e.nextSeed()
-		if off < 0 || off >= t.arr.Len() {
-			err := fmt.Errorf("%w: offset %d out of range", ErrCheckpointRestartRequired, off)
+		var err error
+		if t.st == nil {
+			err = errNotProtected(t, off)
+		} else if off < 0 || off >= t.arr.Len() {
+			err = fmt.Errorf("%w: offset %d out of range", ErrCheckpointRestartRequired, off)
+		}
+		if err != nil {
 			results[i].Outcome, results[i].Err = e.finishRecovery(t, m, ladderResult{}, err)
 			m.done = true
 			continue
@@ -271,29 +308,30 @@ func (e *Engine) recoverBatch(ctx context.Context, t target, offsets []int, trac
 				quarantine[k] = offsets[i]
 			}
 		}
-		e.markQuarantinedAll(t.arr, quarantine)
+		t.st.markQuarantinedAll(quarantine)
 	}
 
-	ss := e.stripesFor(t.arr)
 	var one [1]cluster
-	clusters := ss.clusters(one[:0], ms, live)
+	clusters := t.st.stripes.clusters(one[:0], ms, live)
 	if len(clusters) == 1 && ctx.Done() == nil {
 		// Single cluster, nothing to abandon: run inline, no goroutine.
-		b := batch{e: e, ctx: ctx, t: t, ms: ms, ss: ss}
-		b.run(clusters[0], results)
+		b := batch{e: e, ctx: ctx, t: t}
+		b.run(clusters[0], ms, live, results)
 		return
 	}
 	if len(clusters) > 1 {
 		// Force the shared-statistics build now, on this goroutine, so the
 		// O(N) snapshot scan is not raced for inside the clusters.
-		e.sharedFor(t.arr).Prepare()
+		t.st.shared.Prepare()
 	}
-	// Buffered so background clusters finishing after abandonment never
-	// block on a collector that has already returned.
-	b := &batch{e: e, ctx: ctx, t: t, ms: ms, ss: ss,
-		resCh: make(chan memberResult, len(live))}
+	// The cluster goroutines get heap copies of the member state, which
+	// keeps the batch-of-one buffers above on the stack. Buffered so
+	// background clusters finishing after abandonment never block on a
+	// collector that has already returned.
+	b := &batch{e: e, ctx: ctx, t: t, resCh: make(chan memberResult, len(live))}
+	hms, hlive := slices.Clone(ms), slices.Clone(live)
 	for _, c := range clusters {
-		go b.run(c, nil)
+		go b.run(c, hms, hlive, nil)
 	}
 	for pending := len(live); pending > 0; pending-- {
 		select {
@@ -314,8 +352,9 @@ func (e *Engine) recoverBatch(ctx context.Context, t target, offsets []int, trac
 // clusters groups the live members by stripe-range connectivity: two
 // members conflict iff their three-stripe lock ranges overlap, i.e. their
 // stripes are within 2 of each other, and such stripes chain into one
-// cluster. The clusters are appended to dst in stripe order, members in
-// submission order; live is reordered in place.
+// cluster. live is reordered in place so each cluster's members are one
+// run of it, in submission order; the clusters are appended to dst in
+// stripe order.
 func (ss *stripeSet) clusters(dst []cluster, ms []member, live []int) []cluster {
 	stripe := func(i int) int { return ss.stripeOf(ms[i].off) }
 	if len(live) > 1 {
@@ -331,7 +370,7 @@ func (ss *stripeSet) clusters(dst []cluster, ms []member, live []int) []cluster 
 		lo, _ := ss.rangeFor(ms[members[0]].off)
 		_, hi := ss.rangeFor(ms[members[len(members)-1]].off)
 		slices.Sort(members) // back to submission order
-		clusters = append(clusters, cluster{members: members, lo: lo, hi: hi})
+		clusters = append(clusters, cluster{from: start, to: k, lo: lo, hi: hi})
 		start = k
 	}
 	return clusters
@@ -395,12 +434,12 @@ func (e *Engine) finishRecovery(t target, m *member, res ladderResult, err error
 		e.stats.Fallbacks++
 		e.mu.Unlock()
 		if errors.Is(err, ErrCheckpointRestartRequired) {
-			e.recordSpatial(t.arr, off, res, false)
+			e.recordSpatial(t.st, off, res, false)
 		}
 		e.audit.record(AuditEntry{Alloc: t.name, Offset: off, Err: err.Error()})
 		return Outcome{}, err
 	}
-	e.recordSpatial(t.arr, off, res, true)
+	e.recordSpatial(t.st, off, res, true)
 	e.mu.Lock()
 	e.stats.Recovered++
 	if res.tuned {

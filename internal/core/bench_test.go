@@ -10,6 +10,7 @@ import (
 	"spatialdue/internal/ndarray"
 	"spatialdue/internal/predict"
 	"spatialdue/internal/registry"
+	"spatialdue/internal/sdrbench"
 )
 
 func benchEngine(b *testing.B, ny, nx int) (*Engine, *ndarray.Array, *registry.Allocation) {
@@ -26,7 +27,9 @@ func benchEngine(b *testing.B, ny, nx int) (*Engine, *ndarray.Array, *registry.A
 // BenchmarkRecoveryHotPath is the CI-tracked recovery benchmark:
 // Single is one corrupt-and-recover cycle, Batch amortizes one
 // RecoverBatch call over 16 co-located members, Contended8 drives
-// 8 goroutines against one array with stripe-disjoint row bands.
+// 8 goroutines against one array with stripe-disjoint row bands, and
+// Tuned3D is one RECOVER_ANY cycle on a 32x32x32 field with no tune cache,
+// so every iteration runs the auto-tuner over the masked neighborhood.
 func BenchmarkRecoveryHotPath(b *testing.B) {
 	b.Run("Single", func(b *testing.B) {
 		eng, a, alloc := benchEngine(b, 256, 64)
@@ -85,5 +88,22 @@ func BenchmarkRecoveryHotPath(b *testing.B) {
 				}
 			}
 		})
+	})
+
+	b.Run("Tuned3D", func(b *testing.B) {
+		eng := NewEngine(Options{Seed: 7})
+		ds := sdrbench.Generate(sdrbench.Nyx, "temperature", sdrbench.ScaleSmall)
+		a := ds.Array
+		alloc := eng.Protect(ds.Name, a, ds.DType, registry.RecoverAny())
+		off := a.Offset(16, 16, 16)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a.SetOffset(off, math.NaN())
+			eng.MarkCorrupt(alloc, off)
+			if _, err := eng.RecoverElement(alloc, off); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }

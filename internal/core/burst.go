@@ -69,15 +69,20 @@ const burstTol = 1e-7
 // failure the returned outcome is still populated and the error reports how
 // many elements remain quarantined.
 func (e *Engine) RecoverBurst(alloc *registry.Allocation, offsets []int) (BurstOutcome, error) {
-	ss := e.stripesFor(alloc.Array)
-	ss.acquireRange(context.Background(), 0, ss.n-1)
-	defer ss.releaseAll()
-	return e.recoverBurst(alloc.Array, alloc.Policy, offsets)
+	st := e.state(alloc.Array)
+	if st != nil {
+		st.stripes.acquireRange(context.Background(), 0, st.stripes.n-1)
+		defer st.stripes.releaseAll()
+	}
+	if st == nil || st.retired {
+		return BurstOutcome{}, fmt.Errorf("%w: %s: allocation not protected", ErrCheckpointRestartRequired, alloc.Name)
+	}
+	return e.recoverBurst(alloc.Array, st, alloc.Policy, offsets)
 }
 
 // recoverBurst runs the burst pipeline. The caller must hold every stripe
 // of the array (the BFS seed pass and healthy-mean scan read it whole).
-func (e *Engine) recoverBurst(arr *ndarray.Array, policy registry.Policy, offsets []int) (BurstOutcome, error) {
+func (e *Engine) recoverBurst(arr *ndarray.Array, st *arrayState, policy registry.Policy, offsets []int) (BurstOutcome, error) {
 	if len(offsets) == 0 {
 		return BurstOutcome{}, fmt.Errorf("%w: empty burst", ErrCheckpointRestartRequired)
 	}
@@ -105,11 +110,12 @@ func (e *Engine) recoverBurst(arr *ndarray.Array, policy registry.Policy, offset
 		out.Old[i] = arr.AtOffset(off)
 		oldOf[off] = out.Old[i]
 	}
-	// Coalesced quarantine insert: one pass over the quarantine set, one
+	// Coalesced quarantine insert: one pass over the quarantine bitset, one
 	// over the shared statistics.
-	e.markQuarantinedAll(arr, work)
+	st.markQuarantinedAll(work)
 
-	env := e.envFor(arr, e.nextSeed())
+	env := st.env(e.nextSeed())
+	defer st.envs.Put(env)
 
 	// Mean over the healthy cells only — quarantined ones (the burst, plus
 	// anything reported by MarkCorrupt) may hold NaN or garbage. Used as a
@@ -222,11 +228,11 @@ func (e *Engine) recoverBurst(arr *ndarray.Array, policy registry.Policy, offset
 		if verified[i] {
 			// Released before escalation so ladder climbs for the failures
 			// can trust these neighbors.
-			e.quarantine.remove(arr, off)
+			st.quar.remove(off)
 		}
 	}
 
-	burst := target{arr: arr, name: "burst", policy: policy}
+	burst := target{arr: arr, st: st, name: "burst", policy: policy}
 	recovered, tunedExtra := 0, 0
 	var lastErr error
 	failed := 0
@@ -240,15 +246,17 @@ func (e *Engine) recoverBurst(arr *ndarray.Array, policy registry.Policy, offset
 			continue
 		}
 		out.Escalated++
-		res, err := e.reconstruct(context.Background(), burst, off, e.envFor(arr, e.nextSeed()), nil, time.Now())
+		escEnv := st.env(e.nextSeed())
+		res, err := e.reconstruct(context.Background(), burst, off, escEnv, nil, time.Now())
+		st.envs.Put(escEnv)
 		if err != nil {
 			failed++
 			lastErr = err
-			e.recordSpatial(arr, off, res, false)
+			e.recordSpatial(st, off, res, false)
 			e.audit.record(AuditEntry{Alloc: "burst", Offset: off, Err: err.Error()})
 			continue
 		}
-		e.recordSpatial(arr, off, res, true)
+		e.recordSpatial(st, off, res, true)
 		recovered++
 		if res.tuned {
 			tunedExtra++

@@ -81,7 +81,7 @@ type Options struct {
 	// TuneCacheBlock enables region-level memoization of RECOVER_ANY
 	// tuning decisions when positive: one tuner run serves every
 	// corruption inside the same cache region of an array. The regions are
-	// the array's lock stripes (see cacheFor), whatever the value; only its
+	// the array's lock stripes (see tuneCache), whatever the value; only its
 	// sign is read. Zero disables caching (every corruption re-tunes, as in
 	// the paper).
 	TuneCacheBlock int
@@ -142,11 +142,10 @@ type Stats struct {
 
 // Engine performs localized DUE/SDC recovery.
 type Engine struct {
-	opts       Options
-	table      *registry.Table
-	audit      auditLog
-	quarantine quarantineSet
-	tracer     *trace.Collector
+	opts   Options
+	table  *registry.Table
+	audit  auditLog
+	tracer *trace.Collector
 
 	mu        sync.Mutex
 	seq       int64
@@ -154,10 +153,7 @@ type Engine struct {
 	byMethod  map[predict.Method]int64 // lifetime successful recoveries per method
 	outcomes  map[outcomeKey]string    // memoized trace-outcome detail strings
 	escal     [numStages]int64
-	caches    map[*ndarray.Array]*autotune.Cache
-	stripes   map[*ndarray.Array]*stripeSet
-	shared    map[*ndarray.Array]*predict.SharedStats
-	spatials  map[*ndarray.Array]*spatial.Analytics
+	arrays    map[*ndarray.Array]*arrayState // one record per protected array
 	ckptWorld *fti.World
 	ckptRank  int
 
@@ -210,6 +206,7 @@ func NewEngine(opts Options) *Engine {
 		tracer:   trace.NewCollector(0),
 		byMethod: map[predict.Method]int64{},
 		outcomes: map[outcomeKey]string{},
+		arrays:   map[*ndarray.Array]*arrayState{},
 	}
 }
 
@@ -237,7 +234,7 @@ func (e *Engine) Stats() Stats {
 // faults can land (and call FieldUpdated after replacing the contents).
 func (e *Engine) Protect(name string, arr *ndarray.Array, dtype bitflip.DType, policy registry.Policy) *registry.Allocation {
 	alloc := e.table.Register(name, arr, dtype, policy)
-	e.sharedFor(arr)
+	e.stateFor(arr)
 	return alloc
 }
 
@@ -247,40 +244,32 @@ func (e *Engine) Protect(name string, arr *ndarray.Array, dtype bitflip.DType, p
 func (e *Engine) ProtectTenant(tenant, name string, arr *ndarray.Array, dtype bitflip.DType, policy registry.Policy) (*registry.Allocation, error) {
 	alloc, err := e.table.RegisterTenant(tenant, name, arr, dtype, policy)
 	if err == nil {
-		e.sharedFor(arr)
+		e.stateFor(arr)
 	}
 	return alloc, err
 }
 
 // Unprotect tears down a protected allocation: it unregisters the
-// allocation from the table and drops every piece of per-array engine state
-// (tuning cache, stripe locks, shared statistics, quarantine entries), so a
-// long-running multi-tenant server that registers and unregisters
-// allocations does not grow without bound. It refuses with
+// allocation from the table and drops the array's engine record (tuning
+// cache, stripe locks, shared statistics, spatial analytics, quarantine,
+// Env pool), so a long-running multi-tenant server that registers and
+// unregisters allocations does not grow without bound. It refuses with
 // ErrRecoveriesInFlight while any recovery holds one of the array's
-// stripes. The caller must stop submitting recoveries for the allocation
-// before tearing it down: a submission racing Unprotect can recreate
-// transient per-array state after the maps are cleared, which leaks nothing
-// permanent (the recreated state dies with the unreferenced array) but
-// wastes the work.
+// stripes. A recovery of the allocation that starts after Unprotect, or
+// that was waiting for its stripes while Unprotect held them all, fails
+// with ErrCheckpointRestartRequired and creates no state.
 func (e *Engine) Unprotect(alloc *registry.Allocation) error {
 	arr := alloc.Array
-	e.mu.Lock()
-	ss := e.stripes[arr]
-	e.mu.Unlock()
-	if ss != nil {
-		if !ss.tryAcquireAll() {
+	if st := e.state(arr); st != nil {
+		if !st.stripes.tryAcquireAll() {
 			return fmt.Errorf("%w: %s", ErrRecoveriesInFlight, alloc.Name)
 		}
-		defer ss.releaseAll()
+		defer st.stripes.releaseAll()
+		st.retired = true
 	}
 	e.table.Unregister(alloc.ID)
-	e.quarantine.removeArray(arr)
 	e.mu.Lock()
-	delete(e.caches, arr)
-	delete(e.stripes, arr)
-	delete(e.shared, arr)
-	delete(e.spatials, arr)
+	delete(e.arrays, arr)
 	e.mu.Unlock()
 	return nil
 }
@@ -317,7 +306,7 @@ func (e *Engine) AttachCheckpoints(w *fti.World, rank int) {
 // climb. After replacing the array's contents wholesale, follow up with
 // FieldUpdated so the shared recovery statistics are rebuilt.
 func (e *Engine) WithArrayLock(arr *ndarray.Array, f func()) {
-	ss := e.stripesFor(arr)
+	ss := e.stateFor(arr).stripes
 	ss.acquireRange(context.Background(), 0, ss.n-1)
 	defer ss.releaseAll()
 	f()
@@ -392,7 +381,7 @@ const (
 	defaultHotWidenK  = 2
 )
 
-// cacheFor returns (creating on demand) the tuning cache of an array.
+// tuneCache returns (creating on demand) the tuning cache of an array.
 // Cache regions ARE the array's lock stripes: corruptions in one stripe are
 // always serialized (element recovery holds stripes s-1..s+1), so cached
 // decisions never depend on scheduling, and a streaming upload's
@@ -401,18 +390,12 @@ const (
 // (|G*| >= HotSpotZ) get a short uses-counted TTL, a widened re-tune K,
 // and a bias toward the stripe's historically best method, while smooth
 // stripes keep their decision until invalidated.
-func (e *Engine) cacheFor(arr *ndarray.Array) *autotune.Cache {
-	e.mu.Lock()
-	c, ok := e.caches[arr]
-	e.mu.Unlock()
-	if ok {
+func (e *Engine) tuneCache(st *arrayState) *autotune.Cache {
+	if c := st.cache.Load(); c != nil {
 		return c
 	}
-	// Assemble outside e.mu: the stripe-table and analytics accessors take
-	// e.mu themselves.
-	ss := e.stripesFor(arr)
-	sa := e.spatialFor(arr)
-	c = autotune.NewCache(ss.rows)
+	ss, sa := st.stripes, e.analytics(st)
+	c := autotune.NewCache(ss.rows)
 	c.SetRegionFunc(func(idx []int) int {
 		s := 0
 		if len(idx) > 0 {
@@ -444,75 +427,56 @@ func (e *Engine) cacheFor(arr *ndarray.Array) *autotune.Cache {
 		}
 		return p
 	})
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.caches == nil {
-		e.caches = map[*ndarray.Array]*autotune.Cache{}
-	}
-	if prev, ok := e.caches[arr]; ok {
-		return prev // lost the assembly race; the first one wins
-	}
-	e.caches[arr] = c
-	return c
+	st.cache.CompareAndSwap(nil, c) // on a race the first one wins
+	return st.cache.Load()
 }
 
 // InvalidateTuneCache drops cached tuning decisions for an array (call
 // after the protected data changes character). A nil array drops all.
 // Lifetime hit/miss counters survive — only the decisions are dropped.
 func (e *Engine) InvalidateTuneCache(arr *ndarray.Array) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if arr == nil {
-		for _, c := range e.caches {
+	for _, st := range e.states(arr) {
+		if c := st.cache.Load(); c != nil {
 			c.Invalidate()
 		}
-		return
-	}
-	if c, ok := e.caches[arr]; ok {
-		c.Invalidate()
 	}
 }
 
 // TuneCacheCounters returns tune-cache lifetime counters summed across
 // every protected array (exported as spatialdue_tune_cache_*).
 func (e *Engine) TuneCacheCounters() autotune.CacheStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var out autotune.CacheStats
-	for _, c := range e.caches {
-		st := c.Counters()
-		out.Hits += st.Hits
-		out.Misses += st.Misses
-		out.Coalesced += st.Coalesced
-		out.Expiries += st.Expiries
-		out.Invalidations += st.Invalidations
-		out.Corrections += st.Corrections
+	for _, st := range e.states(nil) {
+		c := st.cache.Load()
+		if c == nil {
+			continue
+		}
+		cs := c.Counters()
+		out.Hits += cs.Hits
+		out.Misses += cs.Misses
+		out.Coalesced += cs.Coalesced
+		out.Expiries += cs.Expiries
+		out.Invalidations += cs.Invalidations
+		out.Corrections += cs.Corrections
 	}
 	return out
 }
 
-// spatialFor returns (creating on demand) the spatial analytics of an
+// analytics returns (creating on demand) the spatial analytics of an
 // array, sized to its stripe table.
-func (e *Engine) spatialFor(arr *ndarray.Array) *spatial.Analytics {
-	ss := e.stripesFor(arr)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.spatials == nil {
-		e.spatials = map[*ndarray.Array]*spatial.Analytics{}
+func (e *Engine) analytics(st *arrayState) *spatial.Analytics {
+	if sa := st.spatial.Load(); sa != nil {
+		return sa
 	}
-	sa, ok := e.spatials[arr]
-	if !ok {
-		sa = spatial.New(ss.n, e.opts.HotSpotZ)
-		e.spatials[arr] = sa
-	}
-	return sa
+	st.spatial.CompareAndSwap(nil, spatial.New(st.stripes.n, e.opts.HotSpotZ))
+	return st.spatial.Load()
 }
 
 // SpatialReport computes the spatial-autocorrelation report (Moran's I,
 // Geary's C, per-stripe G* hot/cold spots) over arr's accumulated recovery
 // outcomes.
 func (e *Engine) SpatialReport(arr *ndarray.Array) spatial.Report {
-	return e.spatialFor(arr).Report()
+	return e.analytics(e.stateFor(arr)).Report()
 }
 
 // recordSpatial deposits one finished ladder climb into the array's
@@ -520,15 +484,15 @@ func (e *Engine) SpatialReport(arr *ndarray.Array) spatial.Report {
 // timeouts and abandoned climbs are NOT recorded (they carry scheduling
 // signal, not spatial signal, and recording them would make the analytics
 // depend on replay timing).
-func (e *Engine) recordSpatial(arr *ndarray.Array, off int, res ladderResult, ok bool) {
-	if off < 0 || off >= arr.Len() {
+func (e *Engine) recordSpatial(st *arrayState, off int, res ladderResult, ok bool) {
+	if st == nil || off < 0 || off >= st.stripes.total {
 		return
 	}
-	s := e.stripesFor(arr).stripeOf(off)
+	s := st.stripes.stripeOf(off)
 	if ok {
-		e.spatialFor(arr).Accumulate(s, res.residual, res.verifyFails, int(res.stage), res.method, true)
+		e.analytics(st).Accumulate(s, res.residual, res.verifyFails, int(res.stage), res.method, true)
 	} else {
-		e.spatialFor(arr).Accumulate(s, math.NaN(), res.verifyFails, int(StageExhausted), 0, false)
+		e.analytics(st).Accumulate(s, math.NaN(), res.verifyFails, int(StageExhausted), 0, false)
 	}
 }
 

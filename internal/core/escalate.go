@@ -155,28 +155,27 @@ func (e *Engine) enterStage(alloc string, off int, st Stage, m predict.Method, c
 // ErrRecoveryAbandoned, restoring the pre-recovery value and keeping the
 // element quarantined (same invariant as ladder exhaustion, minus the
 // exhausted-stage accounting — the recovery was cut short, not beaten).
-// The caller supplies the prediction environment (see Engine.envFor): a
-// live quarantine mask plus the array's shared statistics, already seeded
-// with this recovery's deterministic seed. A stripe cluster shares one Env
-// (and its scratch buffers) across its members, reseeding between them,
-// which is observationally identical to a fresh Env per element.
+// The caller supplies the prediction environment (see arrayState.env): a
+// pooled Env bound to the live quarantine mask and the array's shared
+// statistics, reset to this recovery's deterministic seed. A stripe cluster
+// shares one Env (and its scratch buffers) across its members, resetting it
+// between them, which is observationally identical to a fresh Env per
+// element. t.st must be the array's record.
 func (e *Engine) reconstruct(ctx context.Context, t target, off int, env *predict.Env, tr *trace.Trace, clk time.Time) (ladderResult, error) {
-	arr, alloc, vr := t.arr, t.name, t.policy.Range
+	arr, st, alloc, vr := t.arr, t.st, t.name, t.policy.Range
 	tuneAny, fixed := t.policy.Any, t.policy.Method
 	if err := ctx.Err(); err != nil {
 		return ladderResult{}, fmt.Errorf("%w: %s[%d]: %v", ErrRecoveryAbandoned, alloc, off, err)
 	}
 	old := arr.AtOffset(off)
-	idx := arr.Coords(off)
+	idx := env.Coords(off)
 
 	// Quarantine first: from here on no stencil, probe, or verification
 	// neighborhood on this array may read the corrupted cell, and its
 	// snapshot contribution leaves the shared statistics.
-	e.markQuarantined(arr, off)
+	st.markQuarantined(off)
 
-	e.mu.Lock()
 	maxAlt := e.opts.MaxAlternates
-	e.mu.Unlock()
 	if maxAlt == 0 {
 		maxAlt = defaultMaxAlternates
 	}
@@ -218,14 +217,14 @@ func (e *Engine) reconstruct(ctx context.Context, t target, off int, env *predic
 		}
 		return v, nil
 	}
-	succeed := func(st Stage, m predict.Method, tuned bool, v float64) (ladderResult, error) {
+	succeed := func(stage Stage, m predict.Method, tuned bool, v float64) (ladderResult, error) {
 		arr.SetOffset(off, v)
-		e.quarantine.remove(arr, off)
+		st.quar.remove(off)
 		residual := math.NaN()
 		if provOK {
 			residual = bitflip.RelErr(v, prov)
 		}
-		return ladderResult{method: m, tuned: tuned, stage: st, old: old, value: v,
+		return ladderResult{method: m, tuned: tuned, stage: stage, old: old, value: v,
 			residual: residual, verifyFails: vFails}, nil
 	}
 	// abort cuts the climb short when the context expires: pre-recovery
@@ -244,7 +243,7 @@ func (e *Engine) reconstruct(ctx context.Context, t target, off int, env *predic
 	cachingOn := tuneAny && e.opts.TuneCacheBlock > 0
 	if tuneAny {
 		if cachingOn {
-			if m, hit, terr := e.cacheFor(arr).Select(env, idx, e.opts.Tune); terr == nil {
+			if m, hit, terr := e.tuneCache(st).Select(env, idx, e.opts.Tune); terr == nil {
 				method, tuned = m, true
 				if hit {
 					tr.SetTuneCache("hit")
@@ -294,7 +293,7 @@ func (e *Engine) reconstruct(ctx context.Context, t target, off int, env *predic
 					// verified. Publish it so the region's next recovery
 					// hits the corrected entry instead of re-walking the
 					// ladder.
-					e.cacheFor(arr).Update(idx, res.Best, res.Scores)
+					e.tuneCache(st).Update(idx, res.Best, res.Scores)
 				}
 				return succeed(StageTune, res.Best, true, v)
 			}
@@ -327,7 +326,7 @@ func (e *Engine) reconstruct(ctx context.Context, t target, off int, env *predic
 				if cachingOn {
 					// Same correction as the tune rung: the alternate that
 					// finally verified is the region's best current answer.
-					e.cacheFor(arr).Update(idx, sc.Method, ranked)
+					e.tuneCache(st).Update(idx, sc.Method, ranked)
 				}
 				return succeed(StageAlternate, sc.Method, true, v)
 			}

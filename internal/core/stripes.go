@@ -179,7 +179,7 @@ func (ss *stripeSet) stripeSpan(s int) (lo, hi int) {
 // through a scratch buffer instead); a non-nil error stops the walk and is
 // returned.
 func (e *Engine) ForEachStripeLocked(arr *ndarray.Array, f func(lo, hi int) error) error {
-	ss := e.stripesFor(arr)
+	ss := e.stateFor(arr).stripes
 	for s := 0; s < ss.n; s++ {
 		ss.acquireRange(context.Background(), s, s)
 		lo, hi := ss.stripeSpan(s)
@@ -197,65 +197,21 @@ func (e *Engine) ForEachStripeLocked(arr *ndarray.Array, f func(lo, hi int) erro
 // stripe-exclusive access (stage into a scratch buffer outside the lock,
 // memcpy inside it) — the pattern the streaming field handlers use, since
 // ForEachStripeLocked forbids blocking I/O inside the callback.
-func (e *Engine) NumStripes(arr *ndarray.Array) int { return e.stripesFor(arr).n }
+func (e *Engine) NumStripes(arr *ndarray.Array) int { return e.stateFor(arr).stripes.n }
 
 // StripeSpan returns the half-open element range [lo, hi) owned by stripe s.
 func (e *Engine) StripeSpan(arr *ndarray.Array, s int) (lo, hi int) {
-	return e.stripesFor(arr).stripeSpan(s)
+	return e.stateFor(arr).stripes.stripeSpan(s)
 }
 
 // WithStripeLock runs f holding exactly stripe s's lock, which by the
 // ownership argument above grants exclusive access to the elements in
 // StripeSpan(arr, s). f must not block on external I/O.
 func (e *Engine) WithStripeLock(arr *ndarray.Array, s int, f func()) {
-	ss := e.stripesFor(arr)
+	ss := e.stateFor(arr).stripes
 	ss.acquireRange(context.Background(), s, s)
 	defer ss.release(s, s)
 	f()
-}
-
-// stripesFor returns (creating on demand) the stripe table of an array.
-func (e *Engine) stripesFor(arr *ndarray.Array) *stripeSet {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.stripes == nil {
-		e.stripes = map[*ndarray.Array]*stripeSet{}
-	}
-	ss, ok := e.stripes[arr]
-	if !ok {
-		ss = newStripeSet(arr, stripeRowsFor(e.opts))
-		e.stripes[arr] = ss
-	}
-	return ss
-}
-
-// sharedFor returns (creating on demand) the shared statistics of an array.
-// Creation snapshots the array's current values, so it must happen while
-// they are trustworthy — at registration, before faults land (Protect calls
-// this eagerly).
-func (e *Engine) sharedFor(arr *ndarray.Array) *predict.SharedStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.shared == nil {
-		e.shared = map[*ndarray.Array]*predict.SharedStats{}
-	}
-	s, ok := e.shared[arr]
-	if !ok {
-		s = predict.NewSharedStats(arr)
-		e.shared[arr] = s
-	}
-	return s
-}
-
-// envFor builds the prediction environment every engine recovery path uses:
-// live quarantine mask plus the array's shared statistics. One Env serves
-// one goroutine; batch clusters share one Env across members and Reseed it
-// per member.
-func (e *Engine) envFor(arr *ndarray.Array, seed int64) *predict.Env {
-	env := predict.NewEnv(arr, seed)
-	env.SetMaskFunc(func(o int) bool { return e.quarantine.contains(arr, o) })
-	env.SetShared(e.sharedFor(arr))
-	return env
 }
 
 // nextSeed allocates the next deterministic recovery seed. Batch recovery
@@ -268,22 +224,6 @@ func (e *Engine) nextSeed() int64 {
 	return e.opts.Seed ^ e.seq
 }
 
-// markQuarantined quarantines one offset and excludes it from the array's
-// shared statistics (subtracting its snapshot contribution). Every
-// quarantine insertion in the engine goes through here so the two sets
-// never drift apart.
-func (e *Engine) markQuarantined(arr *ndarray.Array, off int) {
-	e.quarantine.add(arr, off)
-	e.sharedFor(arr).Exclude(off)
-}
-
-// markQuarantinedAll is the coalesced form: one pass over the quarantine
-// set and one pass over the shared statistics, in submission order.
-func (e *Engine) markQuarantinedAll(arr *ndarray.Array, offs []int) {
-	e.quarantine.addAll(arr, offs)
-	e.sharedFor(arr).Exclude(offs...)
-}
-
 // FieldUpdated tells the engine the array's contents were replaced
 // wholesale (e.g. a new field upload): under all stripe locks it
 // re-snapshots the shared statistics — re-admitting previously repaired
@@ -291,11 +231,13 @@ func (e *Engine) markQuarantinedAll(arr *ndarray.Array, offs []int) {
 // cached tuning decisions in the same pass. Call it after the mutation,
 // outside WithArrayLock (it takes the stripes itself).
 func (e *Engine) FieldUpdated(arr *ndarray.Array) {
-	ss := e.stripesFor(arr)
-	ss.acquireRange(context.Background(), 0, ss.n-1)
-	defer ss.releaseAll()
-	e.sharedFor(arr).Rebuild(e.quarantine.offsets(arr))
-	e.InvalidateTuneCache(arr)
+	st := e.stateFor(arr)
+	st.stripes.acquireRange(context.Background(), 0, st.stripes.n-1)
+	defer st.stripes.releaseAll()
+	st.shared.Rebuild(st.quar.offsets())
+	if c := st.cache.Load(); c != nil {
+		c.Invalidate()
+	}
 }
 
 // FieldUpdatedStripes is FieldUpdated for a partial mutation: the caller
@@ -309,10 +251,11 @@ func (e *Engine) FieldUpdated(arr *ndarray.Array) {
 // cached decision. Spatial analytics survive both variants: error history
 // is a property of the memory underneath, not of the field contents.
 func (e *Engine) FieldUpdatedStripes(arr *ndarray.Array, stripes []int) {
-	ss := e.stripesFor(arr)
+	st := e.stateFor(arr)
+	ss := st.stripes
 	ss.acquireRange(context.Background(), 0, ss.n-1)
 	defer ss.releaseAll()
-	e.sharedFor(arr).Rebuild(e.quarantine.offsets(arr))
+	st.shared.Rebuild(st.quar.offsets())
 	seen := make(map[int]bool, 3*len(stripes))
 	regions := make([]int, 0, 3*len(stripes))
 	for _, s := range stripes {
@@ -323,10 +266,7 @@ func (e *Engine) FieldUpdatedStripes(arr *ndarray.Array, stripes []int) {
 			}
 		}
 	}
-	e.mu.Lock()
-	c := e.caches[arr]
-	e.mu.Unlock()
-	if c != nil {
+	if c := st.cache.Load(); c != nil {
 		c.InvalidateRegions(regions)
 	}
 }
@@ -334,12 +274,10 @@ func (e *Engine) FieldUpdatedStripes(arr *ndarray.Array, stripes []int) {
 // StripeWait reports the cumulative time spent acquiring stripe locks and
 // the number of acquisition spans, across every protected array.
 func (e *Engine) StripeWait() (wait time.Duration, acquisitions int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var ns int64
-	for _, ss := range e.stripes {
-		ns += ss.waitNanos.Load()
-		acquisitions += ss.acquisitions.Load()
+	for _, st := range e.states(nil) {
+		ns += st.stripes.waitNanos.Load()
+		acquisitions += st.stripes.acquisitions.Load()
 	}
 	return time.Duration(ns), acquisitions
 }

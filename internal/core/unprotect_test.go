@@ -30,7 +30,7 @@ func TestUnprotectDropsPerArrayState(t *testing.T) {
 	}
 	eng.MarkCorrupt(alloc, a.Offset(9, 9)) // leave a quarantine entry behind too
 	eng.mu.Lock()
-	if eng.stripes[a] == nil || eng.shared[a] == nil || eng.caches[a] == nil {
+	if st := eng.arrays[a]; st == nil || st.cache.Load() == nil {
 		eng.mu.Unlock()
 		t.Fatal("per-array state not populated before Unprotect")
 	}
@@ -41,13 +41,10 @@ func TestUnprotectDropsPerArrayState(t *testing.T) {
 	}
 
 	eng.mu.Lock()
-	_, hasCache := eng.caches[a]
-	_, hasStripes := eng.stripes[a]
-	_, hasShared := eng.shared[a]
+	_, hasState := eng.arrays[a]
 	eng.mu.Unlock()
-	if hasCache || hasStripes || hasShared {
-		t.Errorf("per-array state leaked: cache=%v stripes=%v shared=%v",
-			hasCache, hasStripes, hasShared)
+	if hasState {
+		t.Error("per-array state leaked")
 	}
 	if eng.QuarantineCount() != 0 {
 		t.Errorf("quarantine entries leaked: %d", eng.QuarantineCount())
@@ -110,10 +107,10 @@ func TestUnprotectUnderConcurrentRecoveries(t *testing.T) {
 		t.Fatalf("final Unprotect: %v", err)
 	}
 	eng.mu.Lock()
-	_, hasStripes := eng.stripes[a]
+	_, hasState := eng.arrays[a]
 	eng.mu.Unlock()
-	if hasStripes {
-		t.Error("stripe set survived final Unprotect")
+	if hasState {
+		t.Error("array record survived final Unprotect")
 	}
 }
 

@@ -94,7 +94,7 @@ func (e *Engine) verifyValue(env *predict.Env, idx []int, off int, v float64, vr
 
 	lo, hi := math.Inf(1), math.Inf(-1)
 	n := 0
-	env.A.ForEachInPatch(idx, radius, func(_ []int, noff int) {
+	env.ForEachInPatch(idx, radius, func(_ []int, noff int) {
 		if noff == off || env.Masked(noff) {
 			return
 		}

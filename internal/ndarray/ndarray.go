@@ -361,25 +361,24 @@ func (a *Array) ClampIndex(dst, idx []int) {
 // reused across calls; f must not retain it. f receives the linear offset as
 // well so callers can read/write without recomputing it.
 func (a *Array) ForEachInPatch(center []int, radius int, f func(idx []int, off int)) {
+	a.ForEachInPatchInto(make([]int, len(a.dims)), center, radius, f)
+}
+
+// ForEachInPatchInto is ForEachInPatch walking in the caller's buffer idx
+// (at least NumDims long), which is the slice f receives, so the walk
+// allocates nothing. center must not change while the walk runs.
+func (a *Array) ForEachInPatchInto(idx, center []int, radius int, f func(idx []int, off int)) {
 	if len(center) != len(a.dims) {
 		panic(fmt.Errorf("%w: center arity %d != %d dims", ErrBounds, len(center), len(a.dims)))
 	}
-	lo := make([]int, len(a.dims))
-	hi := make([]int, len(a.dims))
+	idx = idx[:len(a.dims)]
 	for d := range a.dims {
-		lo[d] = center[d] - radius
-		if lo[d] < 0 {
-			lo[d] = 0
-		}
-		hi[d] = center[d] + radius
-		if hi[d] > a.dims[d]-1 {
-			hi[d] = a.dims[d] - 1
-		}
-		if lo[d] > hi[d] {
+		lo, hi := a.patchBounds(center, radius, d)
+		if lo > hi {
 			return // center out of bounds far enough that the patch is empty
 		}
+		idx[d] = lo
 	}
-	idx := append([]int(nil), lo...)
 	for {
 		off := 0
 		for d := range idx {
@@ -389,17 +388,31 @@ func (a *Array) ForEachInPatch(center []int, radius int, f func(idx []int, off i
 		// Odometer increment over the patch box.
 		d := len(idx) - 1
 		for d >= 0 {
+			lo, hi := a.patchBounds(center, radius, d)
 			idx[d]++
-			if idx[d] <= hi[d] {
+			if idx[d] <= hi {
 				break
 			}
-			idx[d] = lo[d]
+			idx[d] = lo
 			d--
 		}
 		if d < 0 {
 			return
 		}
 	}
+}
+
+// patchBounds clips dimension d of the patch of the given radius around
+// center to the array.
+func (a *Array) patchBounds(center []int, radius, d int) (lo, hi int) {
+	lo, hi = center[d]-radius, center[d]+radius
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > a.dims[d]-1 {
+		hi = a.dims[d] - 1
+	}
+	return lo, hi
 }
 
 // String returns a short human-readable description, e.g. "ndarray[100x500x500]".

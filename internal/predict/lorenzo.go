@@ -136,8 +136,8 @@ func (l Lorenzo) Predict(env *Env, idx []int) (float64, error) {
 
 	// Per-dimension feasibility: which of -1 (preceding) / +1 (succeeding)
 	// keeps L layers in bounds. Preceding is preferred.
-	canNeg := boolBuf(&env.sc.lorNeg, d)
-	canPos := boolBuf(&env.sc.lorPos, d)
+	ints, flags := env.sc.lorenzoBufs(d)
+	canNeg, canPos := flags[:d], flags[d:]
 	boundsOK := true
 	for t := 0; t < d; t++ {
 		canNeg[t] = idx[t]-L >= 0
@@ -151,10 +151,7 @@ func (l Lorenzo) Predict(env *Env, idx []int) (float64, error) {
 	}
 
 	coef := binom(L)
-	s := intBuf(&env.sc.lorS, d)
-	nb := intBuf(&env.sc.lorNb, d)
-	dir := intBuf(&env.sc.lorDir, d)
-	maxs := intBuf(&env.sc.lorMaxs, d)
+	s, nb, dir, maxs := ints[:d], ints[d:2*d], ints[2*d:3*d], ints[3*d:]
 
 	if boundsOK {
 		for t := 0; t < d; t++ {
@@ -324,7 +321,7 @@ func (l LorenzoAuto) Predict(env *Env, idx []int) (float64, error) {
 		p := Lorenzo{Layers: L}
 		sum, n := 0.0, 0
 		var failed bool
-		a.ForEachInPatch(idx, radius, func(_ []int, off int) {
+		env.ForEachInPatch(idx, radius, func(_ []int, off int) {
 			if off == skip || failed || env.Masked(off) {
 				return
 			}

@@ -52,9 +52,24 @@ const MaxStencilReach = 8
 // recovers a genuinely corrupted in-place array (internal/core) must create
 // the Env after the corruption and must not call Precompute, so that global
 // regression performs an honest full scan that skips the corrupted element.
+//
+// Seeding is lazy: an Env stores its seed and builds the math/rand source
+// only when Rand is first called (only the Random method draws), so an Env
+// whose predictions never draw costs no source seeding at all. The stream
+// is the rand.NewSource(seed) stream either way.
+//
+// Pooling. An Env is single-goroutine, but it can be reused: Reset(seed)
+// returns it to the state of a fresh Env with the same array, mask
+// predicate and shared statistics, keeping its scratch buffers. The
+// recovery engine keeps a pool of Envs per protected array, already bound
+// to the array's quarantine mask and shared statistics, and Resets one per
+// recovery instead of building a new one.
 type Env struct {
-	A   *ndarray.Array
-	Rng *rand.Rand
+	A *ndarray.Array
+
+	seed   int64
+	rng    *rand.Rand // built from seed on first Rand call
+	seeded bool       // rng's stream was started from seed
 
 	rangeOK  bool
 	min, max float64
@@ -81,15 +96,35 @@ type Env struct {
 // predictor calls (LorenzoAuto probing Lorenzo, autotune probing everything)
 // use disjoint fields so reuse is safe.
 type scratch struct {
-	lorS, lorNb, lorDir []int  // Lorenzo odometer / neighbor / orientation
-	lorMaxs             []int  // Lorenzo per-dimension layer counts
-	lorNeg, lorPos      []bool // Lorenzo per-dimension feasibility
-	probeIdx            []int  // LorenzoAuto probe coordinates
-	lagNb, lagNodes     []int  // Lagrange neighbor index / fallback nodes
-	avgNb               []int  // Average neighbor index
-	regIdx              []int  // GlobalRegression scan coordinates
-	phi, xtx, xtv       []float64
-	solveM, solveX      []float64
+	// Lorenzo's four per-dimension int buffers and two flag buffers; see
+	// lorenzoBufs. The fixed arrays serve arrays of up to lorSmallDims
+	// dimensions, so even a fresh Env's Lorenzo prediction allocates
+	// nothing.
+	lorInts         [4 * lorSmallDims]int
+	lorFlags        [2 * lorSmallDims]bool
+	lorBigInts      []int
+	lorBigFlags     []bool
+	probeIdx        []int // LorenzoAuto probe coordinates
+	lagNb, lagNodes []int // Lagrange neighbor index / fallback nodes
+	avgNb           []int // Average neighbor index
+	regIdx          []int // GlobalRegression scan coordinates
+	patch           []int // ForEachInPatch walk coordinates
+	coords          []int // Coords result
+	phi, xtx, xtv   []float64
+	solveM, solveX  []float64
+}
+
+// lorSmallDims is the largest dimension count whose Lorenzo buffers live
+// inside the Env.
+const lorSmallDims = 4
+
+// lorenzoBufs returns Lorenzo's buffers for a d-dimensional array: 4*d ints
+// and 2*d flags.
+func (sc *scratch) lorenzoBufs(d int) ([]int, []bool) {
+	if d <= lorSmallDims {
+		return sc.lorInts[:4*d], sc.lorFlags[:2*d]
+	}
+	return intBuf(&sc.lorBigInts, 4*d), boolBuf(&sc.lorBigFlags, 2*d)
 }
 
 // intBuf returns *buf resized (reallocating only on growth) to n elements.
@@ -116,9 +151,10 @@ func boolBuf(buf *[]bool, n int) []bool {
 
 // NewEnv wraps a dataset with a deterministic random source. Dataset-wide
 // statistics (the value range, the regression moments) are computed lazily
-// or on request, so predictors that do not need them stay O(1).
+// or on request, and so is the random source, so predictors that need none
+// of them stay O(1).
 func NewEnv(a *ndarray.Array, seed int64) *Env {
-	return &Env{A: a, Rng: rand.New(rand.NewSource(seed))}
+	return &Env{A: a, seed: seed}
 }
 
 // SetShared attaches engine-maintained array-wide statistics. While set,
@@ -129,11 +165,54 @@ func NewEnv(a *ndarray.Array, seed int64) *Env {
 // this: both are fed from the quarantine set).
 func (e *Env) SetShared(s *SharedStats) { e.shared = s }
 
-// Reseed resets the random source to the same deterministic stream
-// NewEnv(a, seed) would produce. Batch recovery shares one Env across
-// members and reseeds per member so each reconstruction draws exactly the
-// randoms it would have drawn with a private Env.
-func (e *Env) Reseed(seed int64) { e.Rng = rand.New(rand.NewSource(seed)) }
+// Rand returns the Env's random source, starting the seed's stream on the
+// first call after NewEnv, Reseed or Reset.
+func (e *Env) Rand() *rand.Rand {
+	if !e.seeded {
+		if e.rng == nil {
+			e.rng = rand.New(rand.NewSource(e.seed))
+		} else {
+			e.rng.Seed(e.seed)
+		}
+		e.seeded = true
+	}
+	return e.rng
+}
+
+// Reseed restarts the random source at the same deterministic stream
+// NewEnv(a, seed) would produce. Only the seed is stored; the source is
+// reseeded when Rand next asks for it.
+func (e *Env) Reseed(seed int64) { e.seed, e.seeded = seed, false }
+
+// Reset returns a reused Env to the state of a fresh one over the same
+// array — NewEnv(e.A, seed) followed by the SetMaskFunc and SetShared calls
+// it was set up with: Mask and Allow state, the cached range and any
+// precomputed moments are dropped, and the random source restarts at
+// seed's stream. The mask predicate, shared statistics and scratch buffers
+// are kept.
+func (e *Env) Reset(seed int64) {
+	e.Reseed(seed)
+	e.rangeOK = false
+	e.mom = nil
+	e.masked, e.allowed = nil, nil
+	e.haveMask = e.maskFn != nil
+}
+
+// Coords returns the coordinates of linear offset off in an Env-owned
+// buffer, valid until the next Coords call on this Env. Predictors never
+// call it, so the result can be passed to them as the target index.
+func (e *Env) Coords(off int) []int {
+	idx := intBuf(&e.sc.coords, e.A.NumDims())
+	e.A.CoordsInto(idx, off)
+	return idx
+}
+
+// ForEachInPatch is ndarray's ForEachInPatch walking with the Env's scratch
+// coordinates, so the walk allocates nothing. f must not start another
+// patch walk on the same Env.
+func (e *Env) ForEachInPatch(center []int, radius int, f func(idx []int, off int)) {
+	e.A.ForEachInPatchInto(intBuf(&e.sc.patch, len(center)), center, radius, f)
+}
 
 // Range returns the dataset's (min, max), computing and caching it on first
 // use — the Random predictor's bound (Section 3.4.2). Masked (quarantined)
@@ -208,10 +287,10 @@ func (e *Env) SetMaskFunc(fn func(off int) bool) {
 
 // Masked reports whether the value stored at off must not be used.
 func (e *Env) Masked(off int) bool {
-	if !e.haveMask || e.allowed[off] {
+	if !e.haveMask || (e.allowed != nil && e.allowed[off]) {
 		return false
 	}
-	if e.masked[off] {
+	if e.masked != nil && e.masked[off] {
 		return true
 	}
 	return e.maskFn != nil && e.maskFn(off)

@@ -247,7 +247,7 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 	}
 	skip := a.Offset(idx...)
 	n := 0
-	a.ForEachInPatch(idx, r, func(cur []int, off int) {
+	env.ForEachInPatch(idx, r, func(cur []int, off int) {
 		if off == skip || env.Masked(off) {
 			return
 		}

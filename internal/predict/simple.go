@@ -22,7 +22,7 @@ func (Random) Name() string { return "Random" }
 // Predict implements Predictor.
 func (Random) Predict(env *Env, _ []int) (float64, error) {
 	min, max := env.Range()
-	r := env.Rng.Float64()
+	r := env.Rand().Float64()
 	return min + r*(max-min), nil
 }
 

@@ -31,7 +31,7 @@
 // The feedback consumer is internal/autotune: hot-spot stripes get short
 // cache TTLs, widened re-tune neighborhoods, and a bias toward the stripe's
 // historically best method; smooth cold stripes keep long-lived cached
-// decisions (see autotune.Policy and core's cacheFor wiring).
+// decisions (see autotune.Policy and core's tuneCache wiring).
 package spatial
 
 import (
